@@ -1,31 +1,17 @@
-// Policy-engine cost per LSM hook decision, scan vs. compiled vs. cached,
-// across policy-table sizes, emitted as BENCH_policy_engine.json.
+// Policy-engine cost per LSM hook decision, scan vs. compiled, across
+// policy-table sizes, emitted as BENCH_policy_engine.json.
 //
 // Each hook is probed with a fixed request against tables of 16 / 256 / 4096
-// entries under four engine configurations:
-//   scan                   legacy linear scan, decision cache off (pre-PR-2 cost)
-//   compiled               indexed tables (hash / partitioned globs), cache off
-//   compiled+cache-forced  indexed tables plus the per-task decision cache,
-//                          adaptive small-table bypass disabled (the pre-fix
-//                          behavior: the cache probe always runs, which at 16
-//                          entries costs MORE than the walk it replaces)
-//   compiled+cache         same, with the adaptive bypass left on (the shipped
-//                          default: below LsmStack::kCacheBypassThreshold total
-//                          rules the cacheable hooks skip the cache)
-// The forced/adaptive pair at the 16-entry size is the before/after evidence
-// for the small-table regression fix.
+// entries under two engine configurations:
+//   scan      legacy linear scan over the raw tables
+//   compiled  indexed tables (hash / partitioned globs)
 //
 // Probes are chosen to isolate the table-walk cost: the bind probe matches
 // the LAST allocation of its port (allow, no audit call); the mount and
 // inode probes match nothing (deny / fall-through, no audit call). All
 // verdicts are identical across configurations — only the lookup strategy
-// differs.
-//
-// The hit-heavy probes repeat one request, so the cache rows price a 100%
-// hit rate. The inode_permission_miss probe cycles 128 distinct paths
-// through the 64-slot per-task cache (~0% hit rate): with the cache forced
-// on, every op pays probe + insert on top of the walk — the pure-tax case
-// the adaptive bypass eliminates for small tables.
+// differs. The inode_permission probe repeats one path; the
+// inode_permission_miss probe cycles 128 distinct paths.
 
 #include <algorithm>
 #include <cstdio>
@@ -45,15 +31,11 @@ namespace {
 struct EngineConfig {
   const char* name;
   bool compiled;
-  bool cache;
-  bool force_cache;  // disable the adaptive small-table bypass
 };
 
 constexpr EngineConfig kConfigs[] = {
-    {"scan", false, false, false},
-    {"compiled", true, false, false},
-    {"compiled+cache-forced", true, true, true},
-    {"compiled+cache", true, true, false},
+    {"scan", false},
+    {"compiled", true},
 };
 
 constexpr int kSizes[] = {16, 256, 4096};
@@ -138,8 +120,7 @@ int main(int argc, char** argv) {
     Inode inode;
     inode.mode = kIfReg | 0644;
 
-    // Miss-heavy probe: 128 distinct paths (none matching any rule) cycled
-    // through the 64-slot cache, so cached configs never hit.
+    // Many-path probe: 128 distinct paths, none matching any rule.
     std::vector<std::string> miss_paths;
     for (int i = 0; i < 128; ++i) {
       miss_paths.push_back(StrFormat("/srv/data/f%d", i));
@@ -151,8 +132,6 @@ int main(int argc, char** argv) {
     double scan_ns[4] = {0, 0, 0, 0};
     for (const EngineConfig& cfg : kConfigs) {
       protego_lsm->set_compiled_engine_enabled(cfg.compiled);
-      stack.set_decision_cache_enabled(cfg.cache);
-      stack.set_cache_bypass_enabled(!cfg.force_cache);
 
       double ns[4];
       ns[0] = NsPerOp([&] { (void)stack.SocketBind(bind_task, bind_req); }, iters, kReps);
@@ -170,7 +149,7 @@ int main(int argc, char** argv) {
       const char* hooks[4] = {"socket_bind", "sb_mount", "inode_permission",
                               "inode_permission_miss"};
       for (int h = 0; h < 4; ++h) {
-        if (!cfg.compiled && !cfg.cache) {
+        if (!cfg.compiled) {
           scan_ns[h] = ns[h];
         }
         Row row;
@@ -187,8 +166,6 @@ int main(int argc, char** argv) {
   }
   // Restore boot defaults.
   protego_lsm->set_compiled_engine_enabled(true);
-  stack.set_decision_cache_enabled(true);
-  stack.set_cache_bypass_enabled(true);
   sys.kernel().tracer().set_enabled(true);
 
   FILE* f = std::fopen(out_path, "w");

@@ -1,16 +1,15 @@
 // Per-layer latency attribution: where does a syscall's time actually go?
 //
 // A LayerProfiler maintains, per thread, a small stack of open layer frames
-// (gate, seccomp filter, DAC, LSM module walk, decision-cache probe, VFS
-// resolution, netfilter, fault registry, plus the observability pipeline's
-// own bookkeeping). Each frame accumulates SELF time — its wall-clock
+// (gate, seccomp filter, DAC, LSM module walk, VFS resolution, netfilter,
+// fault registry, plus the observability pipeline's own bookkeeping). Each frame accumulates SELF time — its wall-clock
 // duration minus the durations of the frames nested inside it — so the
 // per-layer totals telescope: summed over every layer they equal the total
 // inclusive time of the top-level (gate) frames. That identity is the
 // self-check the observability bench enforces ("summed per-layer self-time
 // within 10% of end-to-end span time").
 //
-// Each exit also folds the frame's layer PATH (gate;lsm;decision_cache)
+// Each exit also folds the frame's layer PATH (gate;lsm)
 // into a fixed-size per-shard table, which /proc/protego/profile renders as
 // a folded-stack profile — the flamegraph input format, one line per
 // distinct path with its hit count and self nanoseconds.
@@ -57,7 +56,6 @@ enum class Layer : uint8_t {
   kSeccomp,         // per-task seccomp filter consultation
   kDac,             // discretionary access control (mode bits + capability)
   kLsm,             // LSM stack module walk (hook dispatch)
-  kDecisionCache,   // stack-level decision-cache probe
   kVfs,             // VFS path resolution
   kNetfilter,       // netfilter chain evaluation
   kFaultRegistry,   // fault-injection site evaluation
@@ -110,7 +108,7 @@ class LayerProfiler {
   uint64_t dropped() const;
 
   struct FoldedEntry {
-    std::string stack;  // "gate;lsm;decision_cache"
+    std::string stack;  // "gate;lsm"
     uint64_t count = 0;
     uint64_t self_ns = 0;
   };

@@ -4,47 +4,10 @@
 
 namespace protego {
 
-namespace {
-constexpr size_t kMaxRecent = 256;
-}  // namespace
+void LogWarn(const std::string& message) { std::fprintf(stderr, "[WARN] %s\n", message.c_str()); }
 
-const char* LogLevelName(LogLevel level) {
-  switch (level) {
-    case LogLevel::kDebug: return "DEBUG";
-    case LogLevel::kInfo: return "INFO";
-    case LogLevel::kAudit: return "AUDIT";
-    case LogLevel::kWarn: return "WARN";
-    case LogLevel::kError: return "ERROR";
-  }
-  return "?";
+void LogError(const std::string& message) {
+  std::fprintf(stderr, "[ERROR] %s\n", message.c_str());
 }
-
-Logger& Logger::Get() {
-  static Logger logger;
-  return logger;
-}
-
-void Logger::Log(LogLevel level, std::string message) {
-  Record record{level, std::move(message)};
-  if (recent_.size() >= kMaxRecent) {
-    recent_.erase(recent_.begin());
-  }
-  recent_.push_back(record);
-  if (sink_) {
-    sink_(record);
-    return;
-  }
-  if (level >= LogLevel::kWarn) {
-    std::fprintf(stderr, "[%s] %s\n", LogLevelName(level), record.message.c_str());
-  }
-}
-
-void Logger::SetSink(std::function<void(const Record&)> sink) { sink_ = std::move(sink); }
-
-void LogDebug(std::string message) { Logger::Get().Log(LogLevel::kDebug, std::move(message)); }
-void LogInfo(std::string message) { Logger::Get().Log(LogLevel::kInfo, std::move(message)); }
-void LogAudit(std::string message) { Logger::Get().Log(LogLevel::kAudit, std::move(message)); }
-void LogWarn(std::string message) { Logger::Get().Log(LogLevel::kWarn, std::move(message)); }
-void LogError(std::string message) { Logger::Get().Log(LogLevel::kError, std::move(message)); }
 
 }  // namespace protego

@@ -1,57 +1,16 @@
-// Minimal leveled logger. The simulated kernel logs audit events (LSM denials,
-// setuid transitions, policy reloads) through this; tests capture the sink.
+// Minimal logger: warnings and errors go to stderr. Security audit events
+// (LSM denials, setuid transitions, policy reloads) do not pass through
+// here; they go to the owning kernel's audit ring (Kernel::Audit).
 
 #ifndef SRC_BASE_LOG_H_
 #define SRC_BASE_LOG_H_
 
-#include <functional>
 #include <string>
-#include <string_view>
-#include <vector>
 
 namespace protego {
 
-enum class LogLevel {
-  kDebug,
-  kInfo,
-  kAudit,  // security-relevant: denials, privilege transitions
-  kWarn,
-  kError,
-};
-
-const char* LogLevelName(LogLevel level);
-
-// Process-wide logger. A sink can be installed to capture records (used by
-// audit tests); by default records at kWarn and above go to stderr.
-class Logger {
- public:
-  struct Record {
-    LogLevel level;
-    std::string message;
-  };
-
-  static Logger& Get();
-
-  void Log(LogLevel level, std::string message);
-
-  // Replaces the sink. Passing nullptr restores the default stderr sink.
-  void SetSink(std::function<void(const Record&)> sink);
-
-  // Keeps the most recent records in a ring for post-hoc inspection.
-  const std::vector<Record>& recent() const { return recent_; }
-  void ClearRecent() { recent_.clear(); }
-
- private:
-  Logger() = default;
-  std::function<void(const Record&)> sink_;
-  std::vector<Record> recent_;
-};
-
-void LogDebug(std::string message);
-void LogInfo(std::string message);
-void LogAudit(std::string message);
-void LogWarn(std::string message);
-void LogError(std::string message);
+void LogWarn(const std::string& message);
+void LogError(const std::string& message);
 
 }  // namespace protego
 

@@ -1,6 +1,5 @@
 #include "src/lsm/apparmor.h"
 
-#include "src/base/log.h"
 #include "src/base/strings.h"
 
 namespace protego {
@@ -34,20 +33,16 @@ bool AppArmorModule::CapablePermitted(const Task& task, Capability cap) {
   if (!profile->enforce) {
     return true;  // complain mode: log but allow
   }
-  LogAudit(denials_.back());
   return false;
 }
 
 HookVerdict AppArmorModule::InodePermission(Task& task, const std::string& path,
-                                            const Inode& inode, int may, bool* cacheable) {
+                                            const Inode& inode, int may) {
   (void)inode;
   const AaProfile* profile = FindProfile(task.exe_path);
   if (profile == nullptr) {
     return HookVerdict::kDefault;
   }
-  // Confined decisions append to the denial log (and complain mode exists
-  // to record every event), so they must re-execute each time.
-  *cacheable = false;
   int granted = 0;
   for (const AaFileRule& rule : profile->file_rules) {
     if (GlobMatch(rule.glob, path)) {
@@ -62,7 +57,6 @@ HookVerdict AppArmorModule::InodePermission(Task& task, const std::string& path,
   if (!profile->enforce) {
     return HookVerdict::kDefault;
   }
-  LogAudit(denials_.back());
   return HookVerdict::kDeny;
 }
 

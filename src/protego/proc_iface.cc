@@ -347,14 +347,9 @@ Result<Unit> InstallProtegoProcFiles(Kernel* kernel, ProtegoLsm* lsm) {
     out += StrFormat("file_delegations %llu\n", (unsigned long long)s.file_delegations);
     out += StrFormat("reauth_reads %llu\n", (unsigned long long)s.reauth_reads);
     out += StrFormat("audit_dropped %llu\n", (unsigned long long)kernel->audit_dropped());
-    // Policy-engine state: the generation every policy swap bumps, and the
-    // stack-level decision-cache counters it invalidates.
+    // Policy-engine state: the generation every policy swap bumps.
     out += StrFormat("policy_generation %llu\n",
                      (unsigned long long)kernel->lsm().policy_generation());
-    out += StrFormat("decision_cache_hits %llu\n",
-                     (unsigned long long)kernel->lsm().decision_cache_hits());
-    out += StrFormat("decision_cache_misses %llu\n",
-                     (unsigned long long)kernel->lsm().decision_cache_misses());
     // Fail-closed accounting: dispatches denied / packets dropped because a
     // fault was injected at the decision point (ISSUE: degrade gracefully).
     out += StrFormat("lsm_fail_closed_denials %llu\n",
@@ -464,7 +459,7 @@ Result<Unit> InstallProtegoProcFiles(Kernel* kernel, ProtegoLsm* lsm) {
   RETURN_IF_ERROR(vfs.CreateSynthetic("/proc/protego/trace", 0600, std::move(trace_ops)));
 
   // Per-layer latency attribution: a folded-stack profile of where decision
-  // time is spent (gate / seccomp / lsm / decision_cache / dac / vfs /
+  // time is spent (gate / seccomp / lsm / dac / vfs /
   // netfilter / fault_registry / observer). Off by default; "on" arms the
   // profiler, "clear" zeroes accumulated frames.
   SyntheticOps profile_ops;

@@ -58,16 +58,13 @@ Result<Unit> ProtegoLsm::CompileAndPublish(Policy next) {
   // Publish-then-bump: the mutex release publishes the new snapshot before
   // the (release) generation bump, so a hook that snapshots the generation
   // (acquire) and sees G is guaranteed to load at least generation G's
-  // snapshot — a cached verdict tagged G can never have been computed
-  // against an older policy. The displaced snapshot is retired once the
-  // last in-flight reader drops its PolicyRef.
+  // snapshot. The displaced snapshot is retired once the last in-flight
+  // reader drops its PolicyRef.
   {
     std::lock_guard<std::mutex> lk(policy_mu_);
     policy_ = std::make_shared<const Policy>(std::move(next));
   }
-  // Any swap invalidates every cached verdict, keeping parse-validate-swap
-  // atomic from the hooks' point of view. Only reached on success: a failed
-  // swap must leave cached verdicts valid (they still match the engine).
+  // Only reached on success: a failed swap leaves the generation unchanged.
   BumpPolicyGeneration();
   return OkUnit();
 }
@@ -116,8 +113,7 @@ size_t ProtegoLsm::PolicyRuleCount() const {
 // --- Mount (§4.2) ---------------------------------------------------------------
 
 bool ProtegoLsm::MountEntryGrants(const FstabEntry& entry, bool glob_mountpoint,
-                                  const Task& task, const MountRequest& req,
-                                  bool* cacheable) const {
+                                  const Task& task, const MountRequest& req) const {
   // Every requested option must be granted by the entry or be a
   // privilege-reducing extra.
   for (const std::string& opt : req.options) {
@@ -127,11 +123,8 @@ bool ProtegoLsm::MountEntryGrants(const FstabEntry& entry, bool glob_mountpoint,
   }
   // Glob entries ("fuse /home/*/mnt fuse user") grant per-user
   // mountpoints: the actual directory must belong to the requester, or
-  // anyone could graft a filesystem into someone else's home. Consulting
-  // live VFS ownership makes the verdict uncacheable (a chown must be able
-  // to change the answer).
+  // anyone could graft a filesystem into someone else's home.
   if (glob_mountpoint) {
-    *cacheable = false;
     auto target = kernel_->vfs().Resolve(req.mountpoint);
     if (!target.ok() || target.value()->inode().uid != task.cred.ruid) {
       return false;
@@ -140,7 +133,7 @@ bool ProtegoLsm::MountEntryGrants(const FstabEntry& entry, bool glob_mountpoint,
   return true;
 }
 
-HookVerdict ProtegoLsm::SbMount(const Task& task, const MountRequest& req, bool* cacheable) {
+HookVerdict ProtegoLsm::SbMount(const Task& task, const MountRequest& req) {
   if (kernel_->Capable(task, Capability::kSysAdmin)) {
     return HookVerdict::kDefault;  // administrator path is unchanged
   }
@@ -151,7 +144,7 @@ HookVerdict ProtegoLsm::SbMount(const Task& task, const MountRequest& req, bool*
     pol.engine.mount.ForEachMatch(req.source, req.mountpoint, req.fstype,
                                   [&](const CompiledFstabRule& rule) {
                                     granted = MountEntryGrants(rule.entry, rule.glob_mountpoint,
-                                                               task, req, cacheable);
+                                                               task, req);
                                     return granted;
                                   });
   } else {
@@ -163,7 +156,7 @@ HookVerdict ProtegoLsm::SbMount(const Task& task, const MountRequest& req, bool*
         continue;
       }
       bool glob_mountpoint = entry.mountpoint.find('*') != std::string::npos;
-      if (MountEntryGrants(entry, glob_mountpoint, task, req, cacheable)) {
+      if (MountEntryGrants(entry, glob_mountpoint, task, req)) {
         granted = true;
         break;
       }
@@ -190,7 +183,7 @@ HookVerdict ProtegoLsm::SbUmount(const Task& task, const std::string& mountpoint
   PolicyRef pol_ref = policy();
   const Policy& pol = *pol_ref;
   // May THIS user unmount? "users" entries let anyone; "user" entries only
-  // the task that mounted (live mount-table state — never cached).
+  // the task that mounted (live mount-table state).
   bool granted = false;
   if (compiled_engine_enabled()) {
     pol.engine.mount.ForEachMountpointMatch(mountpoint, [&](const CompiledFstabRule& rule) {
@@ -231,8 +224,7 @@ HookVerdict ProtegoLsm::SocketCreate(const Task& task, const SocketRequest& req)
 
 // --- Bind (§4.1.3) -----------------------------------------------------------------
 
-HookVerdict ProtegoLsm::SocketBind(const Task& task, const BindRequest& req, bool* cacheable) {
-  (void)cacheable;  // pure function of (policy, request, creds): cacheable
+HookVerdict ProtegoLsm::SocketBind(const Task& task, const BindRequest& req) {
   if (req.netns != 0) {
     // A port inside a sandbox namespace is not the system's well-known
     // port; allocations do not apply there.
@@ -578,7 +570,7 @@ HookVerdict ProtegoLsm::BprmCheck(Task& task, const std::string& path, const Ino
 // --- File delegations and reauthentication-gated reads (§4.4/§4.6) -------------------
 
 HookVerdict ProtegoLsm::InodePermission(Task& task, const std::string& path, const Inode& inode,
-                                        int may, bool* cacheable) {
+                                        int may) {
   (void)inode;
   PolicyRef pol_ref = policy();
   const Policy& pol = *pol_ref;
@@ -615,9 +607,6 @@ HookVerdict ProtegoLsm::InodePermission(Task& task, const std::string& path, con
     }
   }
   if (reauth_gated) {
-    // The verdict hinges on authentication recency (and a possible password
-    // exchange), which a cached answer would silently extend forever.
-    *cacheable = false;
     ++stats_.reauth_reads;
     // Paper §4.6: the reauthentication challenge is for the LOGGED-IN user
     // — the invoker proves they are still at the keyboard. Prompting for

@@ -115,8 +115,8 @@ class ProtegoLsm : public SecurityModule {
   // raw table spliced in, its compiled indices are rebuilt, and only if
   // compilation succeeds is the snapshot published and the policy generation
   // bumped. On failure (including an injected kPolicyCompile fault) nothing
-  // is published — the live snapshot, the generation, and every cached
-  // verdict stay exactly as they were. Writers serialize on a mutex so two
+  // is published — the live snapshot and the generation stay exactly as
+  // they were. Writers serialize on a mutex so two
   // concurrent swaps cannot lose each other's tables; readers never block.
 
   [[nodiscard]] Result<Unit> SetMountPolicy(std::vector<FstabEntry> whitelist);
@@ -155,23 +155,21 @@ class ProtegoLsm : public SecurityModule {
   PppOptions ppp_options() const { return policy()->ppp_options; }
   const ProtegoStats& stats() const { return stats_; }
 
-  // Total raw-table rows across every policy table: drives the LSM stack's
-  // adaptive decision-cache bypass (tiny tables are cheaper to evaluate
-  // than to cache).
-  size_t PolicyRuleCount() const override;
+  // Total raw-table rows across every policy table.
+  size_t PolicyRuleCount() const;
 
   // --- LSM hooks -------------------------------------------------------------
 
-  HookVerdict SbMount(const Task& task, const MountRequest& req, bool* cacheable) override;
+  HookVerdict SbMount(const Task& task, const MountRequest& req) override;
   HookVerdict SbUmount(const Task& task, const std::string& mountpoint) override;
   HookVerdict SocketCreate(const Task& task, const SocketRequest& req) override;
-  HookVerdict SocketBind(const Task& task, const BindRequest& req, bool* cacheable) override;
+  HookVerdict SocketBind(const Task& task, const BindRequest& req) override;
   HookVerdict TaskFixSetuid(Task& task, const SetuidRequest& req,
                             SetuidDisposition* disposition) override;
   HookVerdict BprmCheck(Task& task, const std::string& path, const Inode& inode,
                         const std::vector<std::string>& argv, ExecControl* control) override;
   HookVerdict InodePermission(Task& task, const std::string& path, const Inode& inode,
-                              int may, bool* cacheable) override;
+                              int may) override;
   HookVerdict FileIoctl(const Task& task, const IoctlRequest& req) override;
 
  private:
@@ -205,9 +203,9 @@ class ProtegoLsm : public SecurityModule {
 
   // Shared per-entry mount evaluation once device/mountpoint/fstype have
   // matched: option vetting plus the per-user ownership check for
-  // glob-mountpoint entries (which clears *cacheable).
+  // glob-mountpoint entries.
   bool MountEntryGrants(const FstabEntry& entry, bool glob_mountpoint, const Task& task,
-                        const MountRequest& req, bool* cacheable) const;
+                        const MountRequest& req) const;
 
   // Enforces the recency requirement: recent auth of the invoking user, or
   // a fresh password exchange via the kernel-launched authentication

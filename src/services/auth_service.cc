@@ -1,7 +1,6 @@
 #include "src/services/auth_service.h"
 
 #include "src/base/hash.h"
-#include "src/base/log.h"
 #include "src/base/strings.h"
 #include "src/config/passwd_db.h"
 #include "src/protego/protego_lsm.h"
@@ -123,16 +122,12 @@ std::optional<Uid> AuthService::Authenticate(Task& requester,
           requester.terminal->StampAuth(c.account, kernel_->clock().Now());
         }
         ++successes_;
-        LogAudit(StrFormat("protego-auth: uid=%u authenticated as %s", requester.cred.ruid,
-                           c.name.c_str()));
         return c.account;
       }
     }
     requester.terminal->Write("Sorry, try again.\n");
   }
   ++failures_;
-  LogAudit(StrFormat("protego-auth: authentication FAILED for uid=%u as %s",
-                     requester.cred.ruid, prompt_names.c_str()));
   return std::nullopt;
 }
 

@@ -276,22 +276,17 @@ TEST(ParallelPolicySwap, SwapMidTrafficIsCoherent) {
 
 // A module that bumps the policy generation from INSIDE its own hook — the
 // worst-case "swap lands mid-walk" interleaving, made deterministic. The
-// dispatch must tag the cached verdict with the generation snapshotted at
-// entry (pre-bump), so the very next identical request MISSES and sees the
-// new policy. The historical bug (re-reading the generation at insert time)
-// would tag the pre-swap verdict as post-swap and serve it forever.
+// very next identical request must see the new policy, never the verdict
+// computed under the old one.
 class MidWalkSwapModule : public SecurityModule {
  public:
   const char* name() const override { return "midwalk-swap"; }
-  // Large enough that the small-table cache bypass never engages.
-  size_t PolicyRuleCount() const override { return 64; }
 
   HookVerdict InodePermission(Task& task, const std::string& path, const Inode& inode,
-                              int may, bool* cacheable) override {
+                              int may) override {
     (void)task;
     (void)inode;
     (void)may;
-    (void)cacheable;
     if (path != "/tmp/swapfile") {
       return HookVerdict::kDefault;
     }
@@ -316,13 +311,12 @@ TEST(StaleGeneration, MidWalkSwapNeverServesStaleCachedVerdict) {
   Task& alice = k.CreateTask("alice", Cred::ForUser(1000, 1000), nullptr);
 
   // First open: module allows, but flips to deny and bumps the generation
-  // mid-dispatch. The allow verdict gets cached under the OLD generation.
+  // mid-dispatch.
   auto first = k.Open(alice, "/tmp/swapfile", kORdOnly);
   ASSERT_TRUE(first.ok());
   ASSERT_TRUE(k.Close(alice, first.value()).ok());
 
-  // Second identical open: a stale-generation cache hit would allow; the
-  // correct miss re-dispatches and the new policy denies.
+  // Second identical open: the new policy denies.
   EXPECT_EQ(k.Open(alice, "/tmp/swapfile", kORdOnly).code(), Errno::kEACCES);
 }
 

@@ -111,32 +111,9 @@ TEST_F(PolicyEngineTest, CompiledAndScanPathsAgreeOnDefaultPolicy) {
   }
 }
 
-// --- Decision cache ---------------------------------------------------------
+// --- Policy swaps and credential changes ------------------------------------
 
-TEST_F(PolicyEngineTest, RepeatedDecisionsHitTheCache) {
-  Kernel& k = sys_.kernel();
-  LsmStack& lsm = k.lsm();
-  // Cache mechanics under test: force the cache on despite the fixture's
-  // small policy tables (the adaptive bypass would skip it).
-  lsm.set_cache_bypass_enabled(false);
-  Task& alice = sys_.Login("alice");
-
-  // Identical denied mounts: first miss, then hits.
-  uint64_t hits = lsm.decision_cache_hits();
-  for (int i = 0; i < 4; ++i) {
-    EXPECT_EQ(k.Mount(alice, "/dev/cdrom", "/media/usb", "iso9660", {"ro"}).code(),
-              Errno::kEPERM);
-  }
-  EXPECT_GE(lsm.decision_cache_hits(), hits + 3);
-
-  // The counters surface in /proc/protego/status.
-  std::string status = k.ReadWholeFile(alice, "/proc/protego/status").value();
-  EXPECT_NE(status.find("decision_cache_hits "), std::string::npos);
-  EXPECT_NE(status.find("decision_cache_misses "), std::string::npos);
-  EXPECT_NE(status.find("policy_generation "), std::string::npos);
-}
-
-TEST_F(PolicyEngineTest, PolicySwapInvalidatesCachedVerdicts) {
+TEST_F(PolicyEngineTest, BindTableSwapTakesEffectOnNextCall) {
   Kernel& k = sys_.kernel();
   LsmStack& lsm = k.lsm();
   Task& root = sys_.Login("root");
@@ -146,16 +123,14 @@ TEST_F(PolicyEngineTest, PolicySwapInvalidatesCachedVerdicts) {
   ASSERT_TRUE(k.WriteWholeFile(root, "/proc/protego/ports",
                                "80 /usr/sbin/nginx 0\n")
                   .ok());
-  // Warm the cache with an allowed bind (bind + close, twice to ensure the
-  // allow verdict is actually cached, not just inserted).
   for (int i = 0; i < 2; ++i) {
     auto fd = k.SocketCall(web, kAfInet, kSockStream, 0);
     ASSERT_TRUE(k.BindCall(web, fd.value(), 80).ok());
     ASSERT_TRUE(k.Close(web, fd.value()).ok());
   }
 
-  // Swap the table so port 80 belongs to someone else. The generation bump
-  // must invalidate the cached allow ON THE VERY NEXT CALL.
+  // Swap the table so port 80 belongs to someone else: the very next call
+  // is decided by the new table.
   uint64_t generation = lsm.policy_generation();
   ASSERT_TRUE(k.WriteWholeFile(root, "/proc/protego/ports",
                                "80 /usr/sbin/httpd 33\n")
@@ -163,6 +138,12 @@ TEST_F(PolicyEngineTest, PolicySwapInvalidatesCachedVerdicts) {
   EXPECT_GT(lsm.policy_generation(), generation);
   auto fd = k.SocketCall(web, kAfInet, kSockStream, 0);
   EXPECT_EQ(k.BindCall(web, fd.value(), 80).code(), Errno::kEACCES);
+
+  // The generation surfaces in /proc/protego/status.
+  std::string status = k.ReadWholeFile(root, "/proc/protego/status").value();
+  EXPECT_NE(status.find("policy_generation " + std::to_string(lsm.policy_generation()) + "\n"),
+            std::string::npos)
+      << status;
 
   // And back: the deny verdict does not stick either.
   ASSERT_TRUE(k.WriteWholeFile(root, "/proc/protego/ports",
@@ -172,18 +153,18 @@ TEST_F(PolicyEngineTest, PolicySwapInvalidatesCachedVerdicts) {
   EXPECT_TRUE(k.BindCall(web, fd2.value(), 80).ok());
 }
 
-TEST_F(PolicyEngineTest, MountRuleSwapFlipsCachedAllowToDeny) {
+TEST_F(PolicyEngineTest, MountRuleSwapFlipsAllowToDeny) {
   Kernel& k = sys_.kernel();
   Task& root = sys_.Login("root");
   Task& alice = sys_.Login("alice");
 
-  // Cache an allowed mount decision (mount + umount so it can repeat).
+  // An allowed mount, twice (mount + umount so it can repeat).
   ASSERT_TRUE(k.Mount(alice, "/dev/cdrom", "/media/cdrom", "iso9660", {"ro"}).ok());
   ASSERT_TRUE(k.Umount(alice, "/media/cdrom").ok());
   ASSERT_TRUE(k.Mount(alice, "/dev/cdrom", "/media/cdrom", "iso9660", {"ro"}).ok());
   ASSERT_TRUE(k.Umount(alice, "/media/cdrom").ok());
 
-  // Drop the cdrom rule; the cached allow must not survive the swap.
+  // Drop the cdrom rule; the earlier allow must not survive the swap.
   ASSERT_TRUE(k.WriteWholeFile(root, "/proc/protego/mounts",
                                "/dev/sdb1 /media/usb vfat rw,users 0 0\n")
                   .ok());
@@ -191,44 +172,25 @@ TEST_F(PolicyEngineTest, MountRuleSwapFlipsCachedAllowToDeny) {
             Errno::kEPERM);
 }
 
-TEST_F(PolicyEngineTest, CredentialChangesDropTheTaskCache) {
+TEST_F(PolicyEngineTest, CredentialChangesRecomputeVerdicts) {
   Kernel& k = sys_.kernel();
-  LsmStack& lsm = k.lsm();
 
-  // A cached inode-permission verdict keyed on alice's creds must not be
-  // consulted once the task's credentials change: setuid and execve both
-  // clear the per-task cache, and a fresh Spawn starts cold.
+  // An inode-permission verdict reached under alice's creds must not carry
+  // over once the task's credentials change.
   Task& alice = sys_.Login("alice");
   alice.terminal->QueueInput("alicepw");
   ASSERT_TRUE(k.ReadWholeFile(alice, "/etc/shadows/alice").ok());
 
-  uint64_t misses = lsm.decision_cache_misses();
   ASSERT_TRUE(k.Setuid(alice, 0).ok());  // %admin, freshly authenticated
   ASSERT_EQ(alice.cred.euid, 0u);
-  // Same path, new creds: the verdict is recomputed, never served from a
-  // stale hit carrying alice's old signature. The reauth gate now challenges
-  // for ruid 0 — root's password is not on the terminal, so the read that
-  // succeeded a moment ago is DENIED under the new credentials.
+  // Same path, new creds: the reauth gate now challenges for ruid 0 —
+  // root's password is not on the terminal, so the read that succeeded a
+  // moment ago is DENIED under the new credentials.
   EXPECT_EQ(k.ReadWholeFile(alice, "/etc/shadows/alice").code(), Errno::kEACCES);
-  EXPECT_GE(lsm.decision_cache_misses(), misses);
 
-  // Spawned children inherit credentials but not cached verdicts.
+  // A spawned delegated binary is decided under its own exe_path.
   auto out = sys_.RunCapture(alice, "/usr/lib/ssh-keysign", {"ssh-keysign", "x"});
   EXPECT_EQ(out.exit_code, 0);
-}
-
-TEST_F(PolicyEngineTest, CacheDisabledStillProducesSameVerdicts) {
-  Kernel& k = sys_.kernel();
-  k.lsm().set_decision_cache_enabled(false);
-  Task& alice = sys_.Login("alice");
-  uint64_t hits = k.lsm().decision_cache_hits();
-  for (int i = 0; i < 3; ++i) {
-    EXPECT_EQ(k.Mount(alice, "/dev/cdrom", "/media/usb", "iso9660", {"ro"}).code(),
-              Errno::kEPERM);
-    EXPECT_TRUE(k.Mount(alice, "/dev/cdrom", "/media/cdrom", "iso9660", {"ro"}).ok());
-    EXPECT_TRUE(k.Umount(alice, "/media/cdrom").ok());
-  }
-  EXPECT_EQ(k.lsm().decision_cache_hits(), hits);  // nothing cached
 }
 
 }  // namespace
