@@ -1,17 +1,16 @@
-// Policy-engine cost per LSM hook decision, scan vs. compiled, across
-// policy-table sizes, emitted as BENCH_policy_engine.json.
+// Policy-engine cost per LSM hook decision across policy-table sizes,
+// emitted as BENCH_policy_engine.json.
 //
 // Each hook is probed with a fixed request against tables of 16 / 256 / 4096
-// entries under two engine configurations:
-//   scan      legacy linear scan over the raw tables
-//   compiled  indexed tables (hash / partitioned globs)
+// entries, installed through the real parsers and compiled into the indexed
+// tables (hash / partitioned globs) the hooks consult. A flat row across
+// sizes shows that a lookup does not walk the table.
 //
-// Probes are chosen to isolate the table-walk cost: the bind probe matches
-// the LAST allocation of its port (allow, no audit call); the mount and
-// inode probes match nothing (deny / fall-through, no audit call). All
-// verdicts are identical across configurations — only the lookup strategy
-// differs. The inode_permission probe repeats one path; the
-// inode_permission_miss probe cycles 128 distinct paths.
+// Probes are chosen to isolate the lookup cost: the bind probe matches the
+// LAST allocation of its port (allow, no audit call); the mount and inode
+// probes match nothing (deny / fall-through, no audit call). The
+// inode_permission probe repeats one path; the inode_permission_miss probe
+// cycles 128 distinct paths.
 
 #include <algorithm>
 #include <cstdio>
@@ -27,16 +26,6 @@
 
 namespace protego {
 namespace {
-
-struct EngineConfig {
-  const char* name;
-  bool compiled;
-};
-
-constexpr EngineConfig kConfigs[] = {
-    {"scan", false},
-    {"compiled", true},
-};
 
 constexpr int kSizes[] = {16, 256, 4096};
 
@@ -58,9 +47,7 @@ double NsPerOp(Fn&& fn, int iters, int reps) {
 struct Row {
   std::string hook;
   int size = 0;
-  std::string config;
   double ns_per_op = 0;
-  double speedup_vs_scan = 1.0;
 };
 
 Task MakeBenchTask(Uid uid, std::string exe) {
@@ -100,15 +87,15 @@ int main(int argc, char** argv) {
     protego_lsm->SetMountPolicy(ParseFstab(fstab).take()).take();
     protego_lsm->SetDelegation(ParseSudoers(sudoers).take()).take();
 
-    // Bind probe: the LAST allocation in the table (worst case for the
-    // scan, a bucket hit for the index).
+    // Bind probe: the LAST allocation in the table (a bucket hit for the
+    // index, the worst case for a table walk).
     const int last = size - 1;
     Task bind_task = MakeBenchTask(last % 60000, StrFormat("/srv/app%d", last));
     BindRequest bind_req;
     bind_req.port = static_cast<uint16_t>(1 + (last % 1023));
     bind_req.binary_path = bind_task.exe_path;
 
-    // Mount / inode probes: match nothing (full scan, index miss).
+    // Mount / inode probes: match nothing (index miss).
     Task mount_task = MakeBenchTask(1000, "/bin/mount");
     MountRequest mount_req;
     mount_req.source = "/dev/nonexistent";
@@ -127,45 +114,26 @@ int main(int argc, char** argv) {
     }
     size_t miss_i = 0;
 
-    // Fewer iterations for larger tables: the scan rows are O(size) per op.
-    const int iters = std::max(1000, 200000 / size);
-    double scan_ns[4] = {0, 0, 0, 0};
-    for (const EngineConfig& cfg : kConfigs) {
-      protego_lsm->set_compiled_engine_enabled(cfg.compiled);
+    const int iters = 200000;
+    double ns[4];
+    ns[0] = NsPerOp([&] { (void)stack.SocketBind(bind_task, bind_req); }, iters, kReps);
+    ns[1] = NsPerOp([&] { (void)stack.SbMount(mount_task, mount_req); }, iters, kReps);
+    ns[2] = NsPerOp(
+        [&] { (void)stack.InodePermission(inode_task, "/etc/hosts", inode, kMayRead); }, iters,
+        kReps);
+    ns[3] = NsPerOp(
+        [&] {
+          (void)stack.InodePermission(inode_task, miss_paths[miss_i++ & 127], inode, kMayRead);
+        },
+        iters, kReps);
 
-      double ns[4];
-      ns[0] = NsPerOp([&] { (void)stack.SocketBind(bind_task, bind_req); }, iters, kReps);
-      ns[1] = NsPerOp([&] { (void)stack.SbMount(mount_task, mount_req); }, iters, kReps);
-      ns[2] = NsPerOp(
-          [&] { (void)stack.InodePermission(inode_task, "/etc/hosts", inode, kMayRead); },
-          iters, kReps);
-      ns[3] = NsPerOp(
-          [&] {
-            (void)stack.InodePermission(inode_task, miss_paths[miss_i++ & 127], inode,
-                                        kMayRead);
-          },
-          iters, kReps);
-
-      const char* hooks[4] = {"socket_bind", "sb_mount", "inode_permission",
-                              "inode_permission_miss"};
-      for (int h = 0; h < 4; ++h) {
-        if (!cfg.compiled) {
-          scan_ns[h] = ns[h];
-        }
-        Row row;
-        row.hook = hooks[h];
-        row.size = size;
-        row.config = cfg.name;
-        row.ns_per_op = ns[h];
-        row.speedup_vs_scan = ns[h] > 0 ? scan_ns[h] / ns[h] : 0;
-        rows.push_back(row);
-        std::printf("%-17s n=%-5d %-15s %9.2f ns/op  %6.2fx\n", hooks[h], size,
-                    cfg.name, ns[h], row.speedup_vs_scan);
-      }
+    const char* hooks[4] = {"socket_bind", "sb_mount", "inode_permission",
+                            "inode_permission_miss"};
+    for (int h = 0; h < 4; ++h) {
+      rows.push_back(Row{hooks[h], size, ns[h]});
+      std::printf("%-21s n=%-5d %9.2f ns/op\n", hooks[h], size, ns[h]);
     }
   }
-  // Restore boot defaults.
-  protego_lsm->set_compiled_engine_enabled(true);
   sys.kernel().tracer().set_enabled(true);
 
   FILE* f = std::fopen(out_path, "w");
@@ -177,10 +145,8 @@ int main(int argc, char** argv) {
   std::fprintf(f, "  \"reps\": %d,\n  \"rows\": [\n", kReps);
   for (size_t i = 0; i < rows.size(); ++i) {
     std::fprintf(f,
-                 "    {\"hook\": \"%s\", \"table_entries\": %d, \"config\": \"%s\", "
-                 "\"ns_per_op\": %.2f, \"speedup_vs_scan\": %.2f}%s\n",
-                 rows[i].hook.c_str(), rows[i].size, rows[i].config.c_str(),
-                 rows[i].ns_per_op, rows[i].speedup_vs_scan,
+                 "    {\"hook\": \"%s\", \"table_entries\": %d, \"ns_per_op\": %.2f}%s\n",
+                 rows[i].hook.c_str(), rows[i].size, rows[i].ns_per_op,
                  i + 1 < rows.size() ? "," : "");
   }
   std::fprintf(f, "  ]\n}\n");

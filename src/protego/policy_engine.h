@@ -135,7 +135,6 @@ class FileRuleIndex {
   // probe and the whole delegation table is off the path).
   const std::vector<CompiledDelegation>* FindDelegations(const std::string& binary) const;
 
-  bool has_reauth_rules() const { return !reauth_.empty(); }
   bool ReauthGated(const std::string& path) const;
 
  private:

@@ -15,7 +15,10 @@
 //
 // Policy tables are replaced wholesale (parse-validate-swap) through the
 // /proc/protego interface (src/protego/proc_iface.h) by the administrator
-// or the monitoring daemon.
+// or the monitoring daemon. Each swap compiles the tables into the indices
+// of src/protego/policy_engine.h, and every hook decides from those indices
+// alone; the raw tables are kept to serialize back out through /proc and to
+// rebuild the indices on the next swap.
 //
 // Concurrency (parallel mode): all policy state — the raw tables AND the
 // compiled engine built from them — lives in one immutable Policy snapshot
@@ -125,18 +128,6 @@ class ProtegoLsm : public SecurityModule {
   [[nodiscard]] Result<Unit> SetUserDb(UserDb db);
   [[nodiscard]] Result<Unit> SetPppOptions(PppOptions options);
 
-  // When enabled (the default), hooks consult the compiled indices built at
-  // swap time; when disabled they linear-scan the raw tables. The scan path
-  // is kept as the semantic reference — parity tests compare the two, and
-  // policy_engine_bench uses it as the baseline. Both paths produce
-  // identical verdicts.
-  void set_compiled_engine_enabled(bool enabled) {
-    compiled_enabled_.store(enabled, std::memory_order_relaxed);
-  }
-  bool compiled_engine_enabled() const {
-    return compiled_enabled_.load(std::memory_order_relaxed);
-  }
-
   // The current snapshot. The mutex makes the publication in
   // CompileAndPublish visible (it is released there before the generation
   // bump), so a reader that observed generation G also observes at least
@@ -185,21 +176,10 @@ class ProtegoLsm : public SecurityModule {
   // which case nothing is published. Caller must hold swap_mu_.
   [[nodiscard]] Result<Unit> CompileAndPublish(Policy next);
 
-  // Names matching `user` in a sudoers rule subject: exact name, %group
-  // membership, or ALL. `pol` is the snapshot the caller is evaluating.
-  bool RuleSubjectMatches(const Policy& pol, const SudoRule& rule,
-                          const std::string& user_name) const;
-
-  // All delegation rules applying to (invoking user, target user). The
-  // returned pointers point into `pol` — the caller's snapshot keeps them
-  // alive, and RuleCommandMatches must be handed the SAME snapshot (it
-  // turns the pointers back into indices into pol.delegation.rules).
-  std::vector<const SudoRule*> MatchingRules(const Policy& pol, Uid invoking_uid,
-                                             const std::string& target) const;
-
-  // Command match for a rule returned by MatchingRules (compiled or scan).
-  bool RuleCommandMatches(const Policy& pol, const SudoRule* rule,
-                          const std::string& command_line) const;
+  // Indices into pol.delegation.rules of the delegation rules applying to
+  // (invoking user, target user), ascending.
+  std::vector<size_t> MatchingRules(const Policy& pol, Uid invoking_uid,
+                                    const std::string& target) const;
 
   // Shared per-entry mount evaluation once device/mountpoint/fstype have
   // matched: option vetting plus the per-user ownership check for
@@ -217,7 +197,6 @@ class ProtegoLsm : public SecurityModule {
   mutable std::mutex policy_mu_;
   PolicyRef policy_;
   std::mutex swap_mu_;  // serializes writers (clone → compile → publish)
-  std::atomic<bool> compiled_enabled_{true};
   mutable ProtegoStats stats_;
 };
 

@@ -37,7 +37,7 @@ Result<SudoersPolicy> StockReadSudoers(ProcessContext& ctx) {
   return ParseSudoersWithFragments(main_content, fragments);
 }
 
-bool StockRuleSubjectMatches(ProcessContext& ctx, const SudoRule& rule,
+bool StockSudoSubjectMatches(ProcessContext& ctx, const SudoRule& rule,
                              const std::string& user_name) {
   if (rule.user == "ALL" || rule.user == user_name) {
     return true;
@@ -201,7 +201,7 @@ ProgramMain MakeSudoMain(bool protego_mode) {
       };
       const SudoRule* granted = nullptr;
       for (const SudoRule& rule : policy.value().rules) {
-        if (StockRuleSubjectMatches(ctx, rule, invoker->name) &&
+        if (StockSudoSubjectMatches(ctx, rule, invoker->name) &&
             rule.RunasMatches(target->name) && rule.CommandMatches(command_line) &&
             (granted == nullptr || rule_score(rule) > rule_score(*granted))) {
           granted = &rule;

@@ -78,14 +78,6 @@ TEST_F(ProtegoLsmTest, SecondAllocationOfSamePortCanBind) {
   bob.exe_path = "/usr/sbin/nginx";
   auto fd3 = k.SocketCall(bob, kAfInet, kSockStream, 0);
   EXPECT_EQ(k.BindCall(bob, fd3.value(), 80).code(), Errno::kEACCES);
-
-  // The scan path (compiled engine off) agrees.
-  sys_.lsm()->set_compiled_engine_enabled(false);
-  Task& web2 = sys_.Login("root");
-  web2.exe_path = "/usr/sbin/nginx";
-  ASSERT_TRUE(k.Close(www, fd2.value()).ok());
-  auto fd4 = k.SocketCall(web2, kAfInet, kSockStream, 0);
-  EXPECT_TRUE(k.BindCall(web2, fd4.value(), 80).ok());
 }
 
 // --- Mount whitelist (§4.2) ---------------------------------------------------
