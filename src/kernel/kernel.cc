@@ -193,10 +193,7 @@ bool Kernel::HasBinary(const std::string& path) const {
 }
 
 std::string Kernel::JoinPath(const Task& task, const std::string& path) {
-  if (!path.empty() && path[0] == '/') {
-    return Vfs::Normalize(path);
-  }
-  return Vfs::Normalize(task.cwd + "/" + path);
+  return Vfs::Absolutize(task.cwd, path);
 }
 
 bool Kernel::Capable(const Task& task, Capability cap) const {
@@ -451,19 +448,7 @@ Result<KernelStat> Kernel::Stat(Task& task, const std::string& path) {
 Result<KernelStat> Kernel::StatImpl(Task& task, const std::string& path) {
   std::string full = JoinPath(task, path);
   ASSIGN_OR_RETURN(Vnode * node, vfs_.Resolve(full));
-  // Coherent copy under the VFS locks: a concurrent write may be growing
-  // `data` while we stat.
-  Inode inode = vfs_.SnapshotInode(node);
-  KernelStat st;
-  st.ino = inode.ino;
-  st.mode = inode.mode;
-  st.uid = inode.uid;
-  st.gid = inode.gid;
-  st.size = inode.data.size();
-  st.mtime = inode.mtime;
-  st.rdev_major = inode.rdev_major;
-  st.rdev_minor = inode.rdev_minor;
-  return st;
+  return vfs_.StatNode(node);
 }
 
 Result<Unit> Kernel::Chmod(Task& task, const std::string& path, uint32_t mode) {

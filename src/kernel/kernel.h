@@ -67,16 +67,7 @@ struct ProcessContext {
 using ProgramMain = std::function<int(ProcessContext&)>;
 
 // stat(2) result.
-struct KernelStat {
-  uint64_t ino = 0;
-  uint32_t mode = 0;
-  Uid uid = 0;
-  Gid gid = 0;
-  size_t size = 0;
-  uint64_t mtime = 0;
-  uint32_t rdev_major = 0;
-  uint32_t rdev_minor = 0;
-};
+using KernelStat = NodeStat;
 
 // Per-device ioctl handler (e.g. /dev/ppp, /dev/mapper/control). Receives
 // the combined LSM verdict so drivers can honor policy-granted access.

@@ -228,14 +228,16 @@ uint64_t SeccompFilter::PathClassOf(const SyscallArgs& args) const {
   if (args.path == nullptr) {
     return 0;
   }
-  const std::string* path = args.path;
-  std::string abs;
-  if (path->empty() || (*path)[0] != '/') {
-    abs = (args.cwd != nullptr ? *args.cwd : std::string("/")) + "/" + *path;
-    path = &abs;
+  // Classified in canonical form, as the VFS will resolve it: a raw
+  // "/tmp/../etc/x" must not pass as a /tmp path.
+  std::string_view path = *args.path;
+  std::string canonical;
+  if (!Vfs::IsCanonical(path)) {
+    canonical = Vfs::Absolutize(args.cwd != nullptr ? std::string_view(*args.cwd) : "/", path);
+    path = canonical;
   }
   for (const auto& [prefix, id] : path_classes_) {
-    if (path->compare(0, prefix.size(), prefix) == 0) {
+    if (path.compare(0, prefix.size(), prefix) == 0) {
       return id;
     }
   }
@@ -734,21 +736,23 @@ SyscallGate::ExemplarShard& SyscallGate::MyExemplarShard() {
     ExemplarShard* shard = nullptr;
   };
   thread_local TlCache cache;
-  if (cache.gate_id == id_) {
-    return *cache.shard;
+  if (cache.gate_id != id_) {
+    cache = {id_, &RegisterExemplarShard()};
   }
+  return *cache.shard;
+}
+
+SyscallGate::ExemplarShard& SyscallGate::RegisterExemplarShard() {
   std::lock_guard<std::mutex> lk(exemplar_mu_);
   std::thread::id me = std::this_thread::get_id();
   for (const std::unique_ptr<ExemplarShard>& s : exemplar_shards_) {
     if (s->owner == me) {
-      cache = {id_, s.get()};
       return *s;
     }
   }
   exemplar_shards_.push_back(std::make_unique<ExemplarShard>());
   ExemplarShard& shard = *exemplar_shards_.back();
   shard.owner = me;
-  cache = {id_, &shard};
   return shard;
 }
 

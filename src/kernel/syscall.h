@@ -86,6 +86,7 @@
 #include "src/base/tracepoint.h"
 #include "src/fault/fault.h"
 #include "src/kernel/sched_iface.h"
+#include "src/vfs/vfs.h"
 
 namespace protego {
 
@@ -274,7 +275,7 @@ class SeccompFilter {
 
  private:
   bool EvalRules(uint16_t nr, const SyscallArgs& args, uint32_t* rule_evals) const;
-  // Longest-prefix match of the call's (absolutized) path argument against
+  // Longest-prefix match of the call's canonical path argument against
   // the class table; 0 when there is no path or no prefix matches.
   uint64_t PathClassOf(const SyscallArgs& args) const;
 
@@ -329,7 +330,7 @@ class SyscallGate {
 
   // One syscall as the trace-driven synthesizer sees it: the caller's
   // identity, the raw argument words, and the string arguments copied out
-  // (path absolutized against the task's cwd). Built only when a recorder
+  // (path canonicalized against the task's cwd). Built only when a recorder
   // is attached.
   struct SyscallObservation {
     int pid = 0;
@@ -745,8 +746,8 @@ class SyscallGate {
 
   // Mirrors one retired call to the synthesis recorder. String arguments
   // are copied out here — the observation must outlive the caller's frame —
-  // and a relative path is absolutized against the entry-time cwd so
-  // enforcement and synthesis agree on path classes.
+  // and the path is canonicalized against the entry-time cwd exactly as
+  // PathClassOf does, so enforcement and synthesis agree on path classes.
   void RecordObservation(const EntrySnapshot& snap, Sysno nr, const SyscallArgs& sargs,
                          Errno err) {
     SyscallObservation ob;
@@ -761,11 +762,7 @@ class SyscallGate {
     ob.exe = snap.exe;
     ob.comm = snap.comm;
     if (sargs.path != nullptr) {
-      if (!sargs.path->empty() && (*sargs.path)[0] == '/') {
-        ob.path = *sargs.path;
-      } else {
-        ob.path = snap.cwd + "/" + *sargs.path;
-      }
+      ob.path = Vfs::Absolutize(snap.cwd, *sargs.path);
     }
     if (sargs.str1 != nullptr) {
       ob.str1 = *sargs.str1;
@@ -787,6 +784,11 @@ class SyscallGate {
   void RecordExemplar(Sysno nr, uint64_t dur_ticks, uint64_t dur_ns, uint64_t span,
                       int pid);
   ExemplarShard& MyExemplarShard();
+  // MyExemplarShard's miss path: finds or creates this thread's shard. Out
+  // of line, so the cached hit on every untraced data-plane call (the
+  // default config's only observer work) inlines without the
+  // lock-and-search prologue.
+  [[gnu::noinline]] ExemplarShard& RegisterExemplarShard();
 
   void BumpLocalGen() { local_gen_.fetch_add(1, std::memory_order_relaxed); }
   void RebuildDispatch(uint64_t tracer_gen);

@@ -10,6 +10,7 @@ Coverage& Coverage::Get() {
 }
 
 void Coverage::Declare(const std::string& binary, std::vector<std::string> blocks) {
+  std::lock_guard<std::mutex> lk(mu_);
   PerBinary& pb = data_[binary];
   if (pb.declared.empty()) {
     pb.declared = std::move(blocks);
@@ -17,6 +18,7 @@ void Coverage::Declare(const std::string& binary, std::vector<std::string> block
 }
 
 void Coverage::Hit(const std::string& binary, const std::string& block) {
+  std::lock_guard<std::mutex> lk(mu_);
   auto it = data_.find(binary);
   if (it == data_.end()) {
     return;
@@ -28,6 +30,7 @@ void Coverage::Hit(const std::string& binary, const std::string& block) {
 }
 
 double Coverage::Percent(const std::string& binary) const {
+  std::lock_guard<std::mutex> lk(mu_);
   auto it = data_.find(binary);
   if (it == data_.end() || it->second.declared.empty()) {
     return 0.0;
@@ -37,6 +40,7 @@ double Coverage::Percent(const std::string& binary) const {
 }
 
 std::vector<std::string> Coverage::MissedBlocks(const std::string& binary) const {
+  std::lock_guard<std::mutex> lk(mu_);
   std::vector<std::string> missed;
   auto it = data_.find(binary);
   if (it == data_.end()) {
@@ -51,6 +55,7 @@ std::vector<std::string> Coverage::MissedBlocks(const std::string& binary) const
 }
 
 std::vector<std::string> Coverage::Binaries() const {
+  std::lock_guard<std::mutex> lk(mu_);
   std::vector<std::string> out;
   for (const auto& [name, pb] : data_) {
     out.push_back(name);
@@ -59,6 +64,7 @@ std::vector<std::string> Coverage::Binaries() const {
 }
 
 void Coverage::ResetHits() {
+  std::lock_guard<std::mutex> lk(mu_);
   for (auto& [name, pb] : data_) {
     pb.hit.clear();
   }

@@ -8,6 +8,7 @@
 #define SRC_USERLAND_COVERAGE_H_
 
 #include <map>
+#include <mutex>
 #include <set>
 #include <string>
 #include <vector>
@@ -38,6 +39,9 @@ class Coverage {
     std::vector<std::string> declared;
     std::set<std::string> hit;
   };
+  // Utility mains on concurrent task threads (parallel mode) mark blocks
+  // at the same time.
+  mutable std::mutex mu_;
   std::map<std::string, PerBinary> data_;
 };
 

@@ -55,27 +55,23 @@ struct Inode {
   // CreateNode leave it false; the first quota-aware write charges in full.
   bool charged = false;
 
-  // Atomic members delete the implicit copy operations; Stat/snapshot
-  // paths still copy inodes by value, so restore them field-wise.
+  // Atomic members delete the implicit copy and move operations. An inode
+  // is built once and moved into its Vnode, never copied (stat reads go
+  // through Vfs::StatNode), so only the move is restored — field-wise, so
+  // the contents are handed over rather than duplicated.
   Inode() = default;
-  Inode(const Inode& other) { *this = other; }
-  Inode& operator=(const Inode& other) {
-    if (this == &other) {
-      return *this;
-    }
-    ino = other.ino;
-    mode.store(other.mode.load(std::memory_order_relaxed), std::memory_order_relaxed);
-    uid.store(other.uid.load(std::memory_order_relaxed), std::memory_order_relaxed);
-    gid.store(other.gid.load(std::memory_order_relaxed), std::memory_order_relaxed);
-    nlink = other.nlink;
-    mtime = other.mtime;
-    data = other.data;
-    rdev_major = other.rdev_major;
-    rdev_minor = other.rdev_minor;
-    synthetic = other.synthetic;
-    charged = other.charged;
-    return *this;
-  }
+  Inode(Inode&& other) noexcept
+      : ino(other.ino),
+        mode(other.ModeRelaxed()),
+        uid(other.uid.load(std::memory_order_relaxed)),
+        gid(other.gid.load(std::memory_order_relaxed)),
+        nlink(other.nlink),
+        mtime(other.mtime),
+        data(std::move(other.data)),
+        rdev_major(other.rdev_major),
+        rdev_minor(other.rdev_minor),
+        synthetic(std::move(other.synthetic)),
+        charged(other.charged) {}
 
   uint32_t ModeRelaxed() const { return mode.load(std::memory_order_relaxed); }
   bool IsDir() const { return IsDirMode(ModeRelaxed()); }

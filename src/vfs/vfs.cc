@@ -16,7 +16,7 @@ const char* FsEventName(FsEvent event) {
 }
 
 Vnode* Vnode::Lookup(std::string_view child) const {
-  auto it = children_.find(std::string(child));
+  auto it = children_.find(child);
   return it == children_.end() ? nullptr : it->second.get();
 }
 
@@ -50,24 +50,67 @@ Vfs::Vfs(Clock* clock) : clock_(clock) {
   root_.reset(new Vnode("", std::move(root_inode)));
 }
 
+bool Vfs::IsCanonical(std::string_view path) {
+  if (path.empty() || path[0] != '/') {
+    return false;
+  }
+  if (path.size() == 1) {
+    return true;
+  }
+  // Check the start of every component (the byte after each '/').
+  const size_t n = path.size();
+  for (size_t i = 0; i < n; ++i) {
+    if (path[i] != '/') {
+      continue;
+    }
+    size_t c = i + 1;
+    if (c == n || path[c] == '/') {
+      return false;  // trailing slash or "//"
+    }
+    if (path[c] == '.' &&
+        (c + 1 == n || path[c + 1] == '/' ||
+         (path[c + 1] == '.' && (c + 2 == n || path[c + 2] == '/')))) {
+      return false;  // "." or ".."
+    }
+  }
+  return true;
+}
+
 std::string Vfs::Normalize(std::string_view path) {
-  std::vector<std::string> stack;
-  for (const std::string& part : Split(path, '/')) {
+  if (IsCanonical(path)) {
+    return std::string(path);
+  }
+  std::string out;
+  out.reserve(path.size() + 1);
+  for (size_t pos = 0; pos < path.size();) {
+    size_t end = std::min(path.find('/', pos), path.size());
+    std::string_view part = path.substr(pos, end - pos);
+    pos = end + 1;
     if (part.empty() || part == ".") {
       continue;
     }
     if (part == "..") {
-      if (!stack.empty()) {
-        stack.pop_back();
-      }
+      out.resize(out.empty() ? 0 : out.rfind('/'));
       continue;
     }
-    stack.push_back(part);
+    out.push_back('/');
+    out.append(part);
   }
-  if (stack.empty()) {
-    return "/";
+  if (out.empty()) {
+    out.push_back('/');
   }
-  return "/" + Join(stack, "/");
+  return out;
+}
+
+std::string Vfs::Absolutize(std::string_view cwd, std::string_view path) {
+  if (!path.empty() && path[0] == '/') {
+    return Normalize(path);
+  }
+  std::string joined;
+  joined.reserve(cwd.size() + 1 + path.size());
+  joined.append(cwd).push_back('/');
+  joined.append(path);
+  return Normalize(joined);
 }
 
 Result<Vnode*> Vfs::ResolveInternal(std::string_view path, bool want_parent,
@@ -76,68 +119,73 @@ Result<Vnode*> Vfs::ResolveInternal(std::string_view path, bool want_parent,
   if (path.empty() || path[0] != '/') {
     return Error(Errno::kEINVAL, "path must be absolute: " + std::string(path));
   }
-  std::string normalized = Normalize(path);
-  std::vector<std::string> parts = Split(normalized.substr(1), '/');
-  if (normalized == "/") {
-    parts.clear();
+  // `canonical` is the path the walk is on (and what errors name). It views
+  // the caller's string when that is already canonical; `owned` holds it
+  // otherwise, and after a symlink splice.
+  std::string owned;
+  std::string_view canonical = path;
+  if (!IsCanonical(path)) {
+    owned = Normalize(path);
+    canonical = owned;
   }
+  // The components still to walk, as "" or "/a/b".
+  std::string_view walk = canonical.size() == 1 ? std::string_view() : canonical;
   if (want_parent) {
-    if (parts.empty()) {
+    if (walk.empty()) {
       return Error(Errno::kEINVAL, "cannot take parent of /");
     }
-    *leaf_out = parts.back();
-    parts.pop_back();
+    size_t slash = walk.rfind('/');
+    leaf_out->assign(walk.substr(slash + 1));
+    walk = walk.substr(0, slash);
   }
-
-  // Each symlink followed consumes one unit of budget; a cycle exhausts it
-  // and surfaces as ELOOP, as in Linux's nested_symlinks limit.
-  int links_left = kMaxSymlinkDepth;
-  while (true) {
+  auto mounted_root = [this] {
     Vnode* node = root_.get();
     while (node->covered_by_ != nullptr) {
       node = node->covered_by_->root.get();
     }
-    bool restarted = false;
-    for (size_t i = 0; i < parts.size(); ++i) {
-      const std::string& part = parts[i];
-      if (!node->inode().IsDir()) {
-        return Error(Errno::kENOTDIR, normalized);
-      }
-      Vnode* child = node->Lookup(part);
-      if (child == nullptr) {
-        return Error(Errno::kENOENT, normalized);
-      }
-      while (child->covered_by_ != nullptr) {
-        child = child->covered_by_->root.get();
-      }
-      bool is_leaf = i + 1 == parts.size();
-      if (child->inode().IsSymlink() && (!is_leaf || follow_leaf)) {
-        if (--links_left < 0) {
-          return Error(Errno::kELOOP, normalized);
-        }
-        // Splice the target in front of the remaining components and walk
-        // again from the root (relative targets resolve against `node`).
-        const std::string& target = child->inode().data;
-        std::string rebuilt = !target.empty() && target[0] == '/'
-                                  ? target
-                                  : PathOfLocked(node) + "/" + target;
-        for (size_t j = i + 1; j < parts.size(); ++j) {
-          rebuilt += "/" + parts[j];
-        }
-        normalized = Normalize(rebuilt);
-        parts = Split(normalized.substr(1), '/');
-        if (normalized == "/") {
-          parts.clear();
-        }
-        restarted = true;
-        break;
-      }
-      node = child;
+    return node;
+  };
+
+  // Each symlink followed consumes one unit of budget; a cycle exhausts it
+  // and surfaces as ELOOP, as in Linux's nested_symlinks limit.
+  int links_left = kMaxSymlinkDepth;
+  Vnode* node = mounted_root();
+  size_t pos = 0;
+  while (pos < walk.size()) {
+    size_t end = std::min(walk.find('/', pos + 1), walk.size());
+    if (!node->inode().IsDir()) {
+      return Error(Errno::kENOTDIR, std::string(canonical));
     }
-    if (!restarted) {
-      return node;
+    Vnode* child = node->Lookup(walk.substr(pos + 1, end - pos - 1));
+    if (child == nullptr) {
+      return Error(Errno::kENOENT, std::string(canonical));
     }
+    while (child->covered_by_ != nullptr) {
+      child = child->covered_by_->root.get();
+    }
+    bool is_leaf = end == walk.size();
+    if (child->inode().IsSymlink() && (!is_leaf || follow_leaf)) {
+      if (--links_left < 0) {
+        return Error(Errno::kELOOP, std::string(canonical));
+      }
+      // Splice the target in front of the remaining components and walk
+      // again from the root (relative targets resolve against `node`).
+      const std::string& target = child->inode().data;
+      std::string rebuilt = !target.empty() && target[0] == '/'
+                                ? target
+                                : PathOfLocked(node) + "/" + target;
+      rebuilt.append(walk.substr(end));
+      owned = Normalize(rebuilt);
+      canonical = owned;
+      walk = canonical.size() == 1 ? std::string_view() : canonical;
+      node = mounted_root();
+      pos = 0;
+      continue;
+    }
+    node = child;
+    pos = end;
   }
+  return node;
 }
 
 Result<Vnode*> Vfs::Resolve(std::string_view path) const {
@@ -167,29 +215,36 @@ std::string Vfs::PathOf(const Vnode* node) const {
 }
 
 std::string Vfs::PathOfLocked(const Vnode* node) const {
-  std::vector<std::string> parts;
-  const Vnode* cur = node;
-  while (cur != nullptr) {
+  // Pass 1: the length, and where the walk up stops — a mount root splices
+  // in at its mountpoint, the real root at "/".
+  const std::string* mountpoint = nullptr;
+  size_t len = 0;
+  for (const Vnode* cur = node; cur != nullptr; cur = cur->parent_) {
     if (cur->mount_root_of_ != nullptr) {
-      // Mount roots splice in at their mountpoint path.
-      std::string prefix = cur->mount_root_of_->mountpoint;
-      std::reverse(parts.begin(), parts.end());
-      if (parts.empty()) {
-        return prefix;
-      }
-      if (prefix == "/") {
-        prefix.clear();
-      }
-      return prefix + "/" + Join(parts, "/");
+      mountpoint = &cur->mount_root_of_->mountpoint;
+      break;
     }
     if (cur->parent_ == nullptr) {
       break;  // real root
     }
-    parts.push_back(cur->name_);
-    cur = cur->parent_;
+    len += 1 + cur->name_.size();
   }
-  std::reverse(parts.begin(), parts.end());
-  return "/" + Join(parts, "/");
+  if (len == 0) {
+    return mountpoint != nullptr ? *mountpoint : std::string("/");
+  }
+  std::string_view prefix =
+      mountpoint != nullptr && *mountpoint != "/" ? std::string_view(*mountpoint) : "";
+  // Pass 2: fill "/name" segments right to left behind the prefix.
+  std::string out(prefix.size() + len, '/');
+  out.replace(0, prefix.size(), prefix);
+  size_t pos = out.size();
+  for (const Vnode* cur = node; cur->mount_root_of_ == nullptr && cur->parent_ != nullptr;
+       cur = cur->parent_) {
+    pos -= cur->name_.size();
+    out.replace(pos, cur->name_.size(), cur->name_);
+    --pos;  // the '/' already there
+  }
+  return out;
 }
 
 Result<Vnode*> Vfs::CreateNodeLocked(std::string_view path, Inode inode,
@@ -499,10 +554,20 @@ Result<std::vector<std::string>> Vfs::ListDir(const Vnode* node) const {
   return node->ListNames();
 }
 
-Inode Vfs::SnapshotInode(const Vnode* node) const {
+NodeStat Vfs::StatNode(const Vnode* node) const {
+  const Inode& inode = node->inode();
   std::shared_lock<std::shared_mutex> tree_lk(tree_mu_);
-  std::shared_lock<std::shared_mutex> data_lk(DataStripe(node->inode().ino));
-  return node->inode();
+  std::shared_lock<std::shared_mutex> data_lk(DataStripe(inode.ino));
+  NodeStat st;
+  st.ino = inode.ino;
+  st.mode = inode.ModeRelaxed();
+  st.uid = inode.uid.load(std::memory_order_relaxed);
+  st.gid = inode.gid.load(std::memory_order_relaxed);
+  st.size = inode.data.size();
+  st.mtime = inode.mtime;
+  st.rdev_major = inode.rdev_major;
+  st.rdev_minor = inode.rdev_minor;
+  return st;
 }
 
 void Vfs::SetInodeMode(Vnode* node, uint32_t perms) {
@@ -632,16 +697,21 @@ size_t Vfs::orphan_count() const {
 
 int Vfs::AddWatch(std::string path, WatchCallback cb) {
   int id = next_watch_id_.fetch_add(1, std::memory_order_relaxed);
+  Watch watch{id, Normalize(path), std::move(cb)};
   std::lock_guard<std::mutex> lk(watch_mu_);
-  watches_.push_back(Watch{id, Normalize(path), std::move(cb)});
+  auto next = std::make_shared<std::vector<Watch>>(*watches_);
+  next->push_back(std::move(watch));
+  watches_ = std::move(next);
   return id;
 }
 
 void Vfs::RemoveWatch(int watch_id) {
   std::lock_guard<std::mutex> lk(watch_mu_);
-  watches_.erase(std::remove_if(watches_.begin(), watches_.end(),
-                                [&](const Watch& w) { return w.id == watch_id; }),
-                 watches_.end());
+  auto next = std::make_shared<std::vector<Watch>>(*watches_);
+  next->erase(std::remove_if(next->begin(), next->end(),
+                             [&](const Watch& w) { return w.id == watch_id; }),
+              next->end());
+  watches_ = std::move(next);
 }
 
 void Vfs::UnchargeTree(Vnode* node) {
@@ -700,14 +770,15 @@ void Vfs::DispatchEvents(PendingEvents& events) const {
     return;
   }
   for (auto& [event, path] : events) {
-    // Copy the matching watches under the watch lock, then invoke with no
-    // lock held: a callback may add/remove watches or re-enter the VFS.
-    std::vector<Watch> active;
+    // Snapshot the watch list per event, then invoke with no lock held: a
+    // callback may add/remove watches (seen from the next event on) or
+    // re-enter the VFS.
+    std::shared_ptr<const std::vector<Watch>> active;
     {
       std::lock_guard<std::mutex> lk(watch_mu_);
       active = watches_;
     }
-    for (const Watch& watch : active) {
+    for (const Watch& watch : *active) {
       bool match = path == watch.path ||
                    (StartsWith(path, watch.path) && path.size() > watch.path.size() &&
                     (watch.path == "/" || path[watch.path.size()] == '/'));

@@ -24,6 +24,13 @@
 //     watchers (the monitoring daemon) re-enter the VFS from their
 //     callbacks. Lock order is tree_mu_ before data stripe; neither is
 //     held across user callbacks (watches, synthetic file generators).
+//   * watch_mu_ guards only the watches_ POINTER. The watch list itself is
+//     copy-on-write: AddWatch/RemoveWatch build a new immutable vector and
+//     swap the pointer in, and DispatchEvents takes one shared_ptr snapshot
+//     per event (a refcount bump, not a copy of every callback). A callback
+//     that adds or removes a watch therefore affects the NEXT event of the
+//     same mutation (a rename's CREATED after its DELETED), never the
+//     snapshot it is being called from.
 //   * Returned Vnode* remain valid forever (orphan pinning); inode METADATA
 //     (mode/uid/gid) is guarded by tree_mu_ via the SetInode* helpers, and
 //     scalar counters are relaxed atomics.
@@ -88,7 +95,9 @@ class Vnode {
   std::string name_;
   Inode inode_;
   Vnode* parent_ = nullptr;
-  std::map<std::string, std::unique_ptr<Vnode>> children_;
+  // std::less<> makes Lookup heterogeneous: a string_view component is
+  // compared in place, without building a std::string key.
+  std::map<std::string, std::unique_ptr<Vnode>, std::less<>> children_;
 
   // Non-null when a filesystem is mounted over this directory.
   MountEntry* covered_by_ = nullptr;
@@ -122,6 +131,18 @@ enum class FsEvent {
 const char* FsEventName(FsEvent event);
 
 using WatchCallback = std::function<void(FsEvent, const std::string& path)>;
+
+// An inode's stat(2) metadata: everything but the contents.
+struct NodeStat {
+  uint64_t ino = 0;
+  uint32_t mode = 0;
+  Uid uid = 0;
+  Gid gid = 0;
+  size_t size = 0;
+  uint64_t mtime = 0;
+  uint32_t rdev_major = 0;
+  uint32_t rdev_minor = 0;
+};
 
 class Vfs {
  public:
@@ -172,8 +193,20 @@ class Vfs {
 
   // --- Path resolution -----------------------------------------------------
 
-  // Collapses ".", "..", duplicate slashes. `path` must be absolute.
+  // Collapses ".", "..", duplicate slashes and a trailing slash in one pass;
+  // ".." is lexical and stops at "/". `path` must be absolute. A path that
+  // is already canonical comes back as a plain copy.
   static std::string Normalize(std::string_view path);
+
+  // True when Normalize(path) == path: absolute, with no empty, "." or ".."
+  // component (so no "//" and no trailing slash), except "/" itself. Lets a
+  // caller use an already-canonical string in place instead of copying it.
+  static bool IsCanonical(std::string_view path);
+
+  // Normalize(path), with a relative `path` taken lexically against `cwd`
+  // first: the one canonical form every path-keyed decision (resolution,
+  // seccomp path classes, synthesis observations) agrees on.
+  static std::string Absolutize(std::string_view cwd, std::string_view path);
 
   // Symlink chains longer than this fail with ELOOP (Linux uses 40; the
   // simulation's filesystems are small enough that 8 suffices).
@@ -225,9 +258,11 @@ class Vfs {
   // Directory listing under the tree lock (kernel getdents path).
   Result<std::vector<std::string>> ListDir(const Vnode* node) const;
 
-  // Inode metadata snapshot/update helpers (chmod/chown/stat paths): the
+  // Inode metadata read/update helpers (stat/chmod/chown paths): the
   // kernel must not poke node->inode() fields directly in parallel mode.
-  Inode SnapshotInode(const Vnode* node) const;
+  // Coherent metadata of `node` under the tree lock and its data stripe (a
+  // concurrent write may be growing the contents); copies no file data.
+  NodeStat StatNode(const Vnode* node) const;
   // Replaces the permission bits, preserving the file-type bits.
   void SetInodeMode(Vnode* node, uint32_t perms);
   // Changes ownership; clears setuid/setgid bits as on Linux when `clear_sbits`.
@@ -270,7 +305,9 @@ class Vfs {
 
   Vnode* root() const { return root_.get(); }
   // Lock-free internals; callers hold tree_mu_ (shared for resolution,
-  // unique for mutation).
+  // unique for mutation). ResolveInternal walks the components of the
+  // canonical path in place; a path that is already canonical (everything
+  // Kernel::JoinPath hands over) is not copied.
   Result<Vnode*> ResolveInternal(std::string_view path, bool want_parent,
                                  std::string* leaf_out, bool follow_leaf = true) const;
   std::string PathOfLocked(const Vnode* node) const;
@@ -308,7 +345,10 @@ class Vfs {
   // an open inode outlives its last directory entry.
   std::vector<std::unique_ptr<Vnode>> orphans_;
   std::vector<std::unique_ptr<MountEntry>> mounts_;
-  std::vector<Watch> watches_;
+  // Copy-on-write (see the locking note at the top): never null, never
+  // mutated once published.
+  std::shared_ptr<const std::vector<Watch>> watches_ =
+      std::make_shared<const std::vector<Watch>>();
   std::atomic<uint64_t> next_ino_{2};  // 1 is the root inode, per ext tradition
   std::atomic<int> next_watch_id_{1};
 };

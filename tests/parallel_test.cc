@@ -162,6 +162,79 @@ TEST(ParallelStress, OpenCloseUnlinkSymlinkLeakFree) {
   EXPECT_EQ(k.vfs().orphan_count(), orphans);
 }
 
+// Watch-list churn under real threads: one thread keeps adding and removing
+// watches while writer tasks stream writes (each firing a MODIFIED event).
+// The watch list is copy-on-write, so dispatch holds an immutable snapshot
+// while AddWatch/RemoveWatch publish new ones; under -fsanitize=thread this
+// is the data-race audit of that handoff. A watch present for the whole run
+// must see every successful write exactly once, and once the churn stops no
+// removed watch fires again.
+TEST(ParallelStress, WatchChurnDuringWritesMissesNoEvent) {
+  constexpr int kWriters = 4;
+  constexpr int kRounds = 200;
+  std::unique_ptr<Kernel> kernel = BootBareKernel();
+  Kernel& k = *kernel;
+  std::atomic<uint64_t> steady_modified{0};
+  std::atomic<uint64_t> churn_events{0};
+  int steady = k.vfs().AddWatch("/tmp", [&steady_modified](FsEvent event, const std::string&) {
+    if (event == FsEvent::kModified) {
+      steady_modified.fetch_add(1, std::memory_order_relaxed);
+    }
+  });
+
+  ThreadScheduler sched;
+  k.set_scheduler(&sched);
+  std::vector<Task*> tasks;
+  for (int t = 0; t < kWriters; ++t) {
+    tasks.push_back(&k.CreateTask("writer" + std::to_string(t),
+                                  Cred::ForUser(1000 + t, 1000 + t), nullptr));
+  }
+  std::atomic<uint64_t> writes_ok{0};
+  std::atomic<int> writers_left{kWriters};
+  for (int t = 0; t < kWriters; ++t) {
+    Task* task = tasks[static_cast<size_t>(t)];
+    sched.StartTask(task->pid, [&k, &writes_ok, &writers_left, task, t] {
+      const std::string mine = "/tmp/w" + std::to_string(t);
+      for (int r = 0; r < kRounds; ++r) {
+        auto fd = k.Open(*task, mine, kOWrOnly | kOCreat, 0644);
+        if (fd.ok()) {
+          if (k.Write(*task, fd.value(), "x").ok()) {
+            writes_ok.fetch_add(1, std::memory_order_relaxed);
+          }
+          (void)k.Close(*task, fd.value());
+        }
+      }
+      writers_left.fetch_sub(1, std::memory_order_release);
+    });
+  }
+  std::thread churn([&k, &churn_events, &writers_left] {
+    std::vector<int> ids;
+    while (writers_left.load(std::memory_order_acquire) > 0) {
+      ids.push_back(k.vfs().AddWatch("/tmp", [&churn_events](FsEvent, const std::string&) {
+        churn_events.fetch_add(1, std::memory_order_relaxed);
+      }));
+      if (ids.size() > 3) {
+        k.vfs().RemoveWatch(ids.front());
+        ids.erase(ids.begin());
+      }
+    }
+    for (int id : ids) {
+      k.vfs().RemoveWatch(id);
+    }
+  });
+  sched.Join();
+  churn.join();
+  k.set_scheduler(nullptr);
+
+  EXPECT_EQ(writes_ok.load(), static_cast<uint64_t>(kWriters) * kRounds);
+  EXPECT_EQ(steady_modified.load(), writes_ok.load());
+  const uint64_t churned = churn_events.load();
+  ASSERT_TRUE(k.vfs().WriteFile("/tmp/w0", "after").ok());
+  EXPECT_EQ(churn_events.load(), churned);
+  EXPECT_EQ(steady_modified.load(), writes_ok.load() + 1);
+  k.vfs().RemoveWatch(steady);
+}
+
 // --- Satellite: fault injection under parallel load --------------------------
 //
 // The PR 5 degradation contract re-checked with real threads: probabilistic

@@ -100,8 +100,10 @@ TEST_P(DacMonotonicityProperty, AddingBitsNeverRevokesAccess) {
   narrow.gid = 50;
   auto in_group = [](Gid g) { return g == 50; };
   for (uint32_t extra_bit = 1; extra_bit <= 0400; extra_bit <<= 1) {
-    Inode wide = narrow;
-    wide.mode |= extra_bit;
+    Inode wide;
+    wide.mode = narrow.ModeRelaxed() | extra_bit;
+    wide.uid = 100;
+    wide.gid = 50;
     for (Uid uid : {100u, 200u}) {
       for (int may : {kMayRead, kMayWrite, kMayExec, kMayRead | kMayWrite}) {
         if (DacPermits(narrow, uid, in_group, may)) {

@@ -266,6 +266,23 @@ TEST_F(SyscallGateTest, PredicateFilterEnforcesPathClassesAndFlags) {
   EXPECT_GT(kernel_.syscalls().stats(Sysno::kOpen).rule_evals, 0u);
 }
 
+// Regression: the path class used to be a prefix match on the raw path, so
+// "/tmp/../etc/secret" passed as a /tmp path and reached DAC/LSM. The gate
+// classifies the canonical path, the one the VFS will resolve.
+TEST_F(SyscallGateTest, DotDotCannotEscapeAPathClass) {
+  (void)kernel_.vfs().CreateFile("/etc/secret", 0600, kRootUid, kRootGid, "s");
+  Task& alice = User(1000);
+  ASSERT_TRUE(kernel_.SeccompSetFilterSpec(alice, PredicateSpec()).ok());
+  int spy_before = spy_->inode_permission_calls;
+  EXPECT_EQ(kernel_.Open(alice, "/tmp/../etc/secret", kORdOnly).code(), Errno::kEPERM);
+  EXPECT_EQ(kernel_.Open(alice, "/tmp/./..//etc/secret", kORdOnly).code(), Errno::kEPERM);
+  alice.cwd = "/tmp";
+  EXPECT_EQ(kernel_.Open(alice, "../etc/secret", kORdOnly).code(), Errno::kEPERM);
+  EXPECT_EQ(spy_->inode_permission_calls.load(), spy_before);
+  // A relative path that stays inside the class is still admitted.
+  EXPECT_TRUE(kernel_.Open(alice, "sub/../x", kOWrOnly | kOCreat).ok());
+}
+
 TEST_F(SyscallGateTest, PredicateLatchTightensAndNeverWidens) {
   Task& alice = User(1000);
   ASSERT_TRUE(kernel_.SeccompSetFilterSpec(alice, PredicateSpec()).ok());
