@@ -26,7 +26,7 @@ void HookDepthAblation() {
       kernel.lsm().Register(std::make_unique<CapabilityModule>());
     }
     if (depth >= 2) {
-      kernel.lsm().Register(std::make_unique<AppArmorModule>());
+      kernel.lsm().Register(std::make_unique<AppArmorModule>(&kernel.audit_ring()));
     }
     if (depth >= 3) {
       kernel.lsm().Register(std::make_unique<ProtegoLsm>(&kernel));

@@ -109,11 +109,11 @@ void BM_GetPidGate(benchmark::State& state) {
       state.SetLabel("no-gate");
       break;
     case 1:
-      gate.set_trace_enabled(false);
+      sys.kernel().tracer().set_enabled(false);
       state.SetLabel("gate+stats");
       break;
     default:
-      gate.set_trace_enabled(true);
+      sys.kernel().tracer().set_enabled(true);
       state.SetLabel("gate+stats+trace");
       break;
   }

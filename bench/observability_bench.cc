@@ -143,7 +143,7 @@ int main(int argc, char** argv) {
     for (int r = 0; r < kReps; ++r) {
       for (size_t c = 0; c < kNumConfigs; ++c) {
         Apply(k, kConfigs[c]);
-        k.syscalls().ClearTrace();  // ring churn priced, retention equalized
+        k.tracer().Clear();  // ring churn priced, retention equalized
         // Per-pass warmup: settles the dispatch-word rebuild the config
         // change just invalidated and re-touches caches after the previous
         // config's pass.

@@ -45,7 +45,7 @@ constexpr GateConfig kConfigs[] = {
 void Apply(SyscallGate& gate, Tracer& tracer, const GateConfig& cfg) {
   gate.set_enabled(cfg.enabled);
   gate.set_wallclock_timing(cfg.timing);
-  gate.set_trace_enabled(cfg.trace);
+  tracer.set_enabled(cfg.trace);
   tracer.set_point_enabled(TracepointId::kSyscall, !cfg.point_filtered);
 }
 

@@ -14,9 +14,9 @@
 // a folded-stack profile — the flamegraph input format, one line per
 // distinct path with its hit count and self nanoseconds.
 //
-// Shard discipline mirrors the Tracer: one shard per emitting thread with a
-// single writer, created under a mutex on first use and found through a
-// thread-local one-entry cache keyed on the profiler's process-unique id.
+// Shard discipline is the Tracer's (src/base/thread_shards.h): one shard per
+// emitting thread with a single writer, created under a mutex on first use
+// and found through a thread-local one-entry cache.
 // All accumulators are relaxed atomics, so a metrics scrape racing live
 // frames reads torn-free values; exact totals (like the trace ring) expect
 // emitters to be quiescent. The folded table is open-addressed with a fixed
@@ -39,13 +39,11 @@
 
 #include <atomic>
 #include <cstdint>
-#include <memory>
-#include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "src/base/metrics.h"
+#include "src/base/thread_shards.h"
 
 namespace protego {
 
@@ -77,7 +75,7 @@ class LayerProfiler {
   // slots leave generous headroom; overflow is counted in dropped().
   static constexpr size_t kFoldedSlots = 128;
 
-  LayerProfiler();
+  LayerProfiler() = default;
   LayerProfiler(const LayerProfiler&) = delete;
   LayerProfiler& operator=(const LayerProfiler&) = delete;
 
@@ -149,7 +147,6 @@ class LayerProfiler {
   };
 
   struct Shard {
-    std::thread::id owner;
     Frame stack[kMaxDepth];
     size_t depth = 0;  // owner-thread only; may exceed kMaxDepth (overflow)
     PerLayer layers[kLayerCount];
@@ -159,14 +156,11 @@ class LayerProfiler {
     std::atomic<uint64_t> dropped{0};
   };
 
-  Shard& MyShard();
   static void Fold(Shard& shard, uint64_t path, uint64_t self_ns);
   static std::string PathString(uint64_t path);
 
   std::atomic<bool> enabled_{false};
-  uint64_t id_;  // process-unique, for the thread-local shard cache
-  mutable std::mutex shards_mu_;  // guards shards_ growth
-  std::vector<std::unique_ptr<Shard>> shards_;
+  ThreadShards<Shard> shards_;
 };
 
 // RAII layer frame. Engagement is decided ONCE at construction (profiler

@@ -35,14 +35,13 @@
 
 #include <atomic>
 #include <cstdint>
-#include <memory>
 #include <mutex>
 #include <string>
-#include <thread>
 #include <unordered_map>
 #include <vector>
 
 #include "src/base/clock.h"
+#include "src/base/thread_shards.h"
 
 namespace protego {
 
@@ -218,7 +217,6 @@ class Tracer {
     tls_muted_ = muted;
     return prev;
   }
-  static bool ThreadMuted() { return tls_muted_; }
 
   // Events suppressed by sampling since boot (per tracepoint).
   uint64_t sampled_out(TracepointId tp) const {
@@ -241,8 +239,6 @@ class Tracer {
   // Closes `span`. Tolerates mismatched ids (pops only if it is innermost
   // for `pid`).
   void EndSpan(int pid, uint64_t span);
-  // Innermost open span id for `pid`, or 0.
-  uint64_t current_span(int pid) const;
 
   // --- Emission --------------------------------------------------------------
 
@@ -289,31 +285,24 @@ class Tracer {
     uint64_t parent = 0;
   };
 
-  // One per-thread ring. `emitted` counts events this shard's owner wrote;
-  // it is atomic only so quiescent readers and concurrent metric exports
-  // load it cleanly — the owner is the sole writer. `sample_state` is the
-  // thread's private splitmix64 stream, lazily (re)seeded when its
-  // `sample_key` no longer matches the tracer's sampling generation.
+  // One per-thread ring, sized at construction. `emitted` counts events
+  // this shard's owner wrote; it is atomic only so quiescent readers and
+  // concurrent metric exports load it cleanly — the owner is the sole
+  // writer. `sample_state` is the thread's private splitmix64 stream,
+  // lazily (re)seeded when its `sample_key` no longer matches the tracer's
+  // sampling generation.
   struct Shard {
-    std::thread::id owner;
+    explicit Shard(size_t capacity) : ring(capacity) {}
     std::vector<TraceEvent> ring;
     std::atomic<uint64_t> emitted{0};
     uint64_t sample_state = 0;
     uint64_t sample_key = 0;  // sampling generation the state was seeded for
   };
 
-  // The calling thread's shard, created on first emission. A thread-local
-  // single-entry cache keyed by the tracer's unique id (NOT its address —
-  // fleet runs create and destroy thousands of tracers, and a recycled
-  // address must not hit a stale cache entry) makes the common case two
-  // loads and a compare.
-  Shard& MyShard();
-
   void BumpConfigGen() { config_gen_.fetch_add(1, std::memory_order_relaxed); }
 
   const Clock* clock_;
   size_t capacity_;
-  uint64_t id_;  // process-unique tracer id for the thread-local shard cache
   std::atomic<bool> enabled_{true};
   std::atomic<uint32_t> point_mask_{0};
   std::atomic<uint64_t> config_gen_{1};  // any enable/sampling config change
@@ -323,8 +312,7 @@ class Tracer {
   std::atomic<uint32_t> sample_rate_[kTracepointCount] = {};
   std::atomic<uint64_t> sampled_out_[kTracepointCount] = {};
   std::atomic<uint64_t> seq_{0};  // next global sequence number
-  mutable std::mutex shards_mu_;  // guards shards_ growth
-  std::vector<std::unique_ptr<Shard>> shards_;
+  ThreadShards<Shard> shards_;
   mutable std::mutex spans_mu_;  // guards open_spans_ and next_span_
   uint64_t next_span_ = 1;       // span ids survive Clear() (spans may be open)
   std::unordered_map<int, std::vector<OpenSpan>> open_spans_;  // keyed by pid

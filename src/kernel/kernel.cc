@@ -46,7 +46,7 @@ bool ProcessContext::HasFlag(std::string_view name) const {
 }
 
 Kernel::Kernel() : vfs_(&clock_), gate_(&clock_) {
-  gate_.set_audit_sink([this](std::string message) { Audit(std::move(message)); });
+  gate_.set_audit(&audit_ring_);
   // Every subsystem emits into the one kernel-wide tracer so a syscall's
   // decision span threads through LSM, VFS, and netfilter events.
   gate_.set_tracer(&tracer_);

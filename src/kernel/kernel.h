@@ -106,7 +106,7 @@ class Kernel {
   Network& net() { return net_; }
 
   // The unified syscall entry path every public syscall below routes
-  // through (seccomp filtering, counters, latency, trace ring).
+  // through (seccomp filtering, counters, latency, span-root emission).
   SyscallGate& syscalls() { return gate_; }
   const SyscallGate& syscalls() const { return gate_; }
 
@@ -117,7 +117,9 @@ class Kernel {
   TaskScheduler* scheduler() { return gate_.scheduler(); }
 
   // The kernel-wide tracepoint ring (decision spans; /proc/protego/trace)
-  // shared by the gate, the LSM stack, the VFS, and netfilter.
+  // shared by the gate, the LSM stack, the VFS, and netfilter. It is the
+  // only trace store: every reader goes here, not through the gate.
+  static constexpr size_t kTraceCapacity = 256;
   Tracer& tracer() { return tracer_; }
   const Tracer& tracer() const { return tracer_; }
 
@@ -326,9 +328,13 @@ class Kernel {
   // call back into the kernel.
   void ForEachTask(const std::function<void(const Task&)>& fn) const;
 
-  // Appends a security-audit record to the kernel's ring buffer (also
-  // forwarded to the process logger). Exposed at /proc/protego/audit.
+  // Appends a security-audit record to the kernel's ring buffer, the single
+  // audit store (the gate's seccomp denials and AppArmor's denial lines are
+  // pushed into the same ring). Exposed at /proc/protego/audit.
   void Audit(std::string message);
+  // The ring itself, for modules below the kernel layer (AppArmor) that
+  // push into it without linking against the kernel.
+  AuditRing& audit_ring() { return audit_ring_; }
   // Snapshot of the retained audit records, oldest first.
   std::vector<std::string> audit_log() const { return audit_ring_.Snapshot(); }
   // Records lost to the bounded ring since boot.
@@ -452,7 +458,7 @@ class Kernel {
   Clock clock_;
   // mutable so const syscalls (GetPid) and const checks (Capable) can emit
   // trace events.
-  mutable Tracer tracer_{&clock_, SyscallGate::kTraceCapacity};
+  mutable Tracer tracer_{&clock_, kTraceCapacity};
   // mutable for the same reason: const checks (Capable) open layer frames.
   mutable LayerProfiler profiler_;
   MetricsRegistry metrics_;

@@ -598,8 +598,6 @@ Result<SeccompFilter::Spec> SeccompFilter::ParseSpec(std::string_view text) {
 }
 
 SyscallGate::SyscallGate(const Clock* clock) : clock_(clock) {
-  static std::atomic<uint64_t> next_gate_id{1};
-  id_ = next_gate_id.fetch_add(1, std::memory_order_relaxed);
   // Default all-set: with no explicit syscall filter, the global toggles
   // alone decide, which is exactly the pre-dispatch behavior.
   traced_syscalls_.set();
@@ -657,11 +655,9 @@ void SyscallGate::ExitSyscall(SyscallContext& ctx, Errno err) {
   if (err != Errno::kOk) {
     s.errors.fetch_add(1, std::memory_order_relaxed);
   }
-  s.total_ticks.fetch_add(dur_ticks, std::memory_order_relaxed);
   s.lat_ticks.Observe(dur_ticks);
   if ((ctx.dispatch & kDispatchTimed) != 0) {
     dur_ns = MonotonicNanos() - ctx.start_ns;
-    s.total_ns.fetch_add(dur_ns, std::memory_order_relaxed);
     s.lat_ns.Observe(dur_ns);
   }
   if ((ctx.dispatch & kDispatchTrace) != 0) {
@@ -694,10 +690,10 @@ void SyscallGate::RecordDenial(SyscallContext& ctx) {
     LayerScope observer_scope(profiler_, Layer::kObserver);
     RecordTrace(ctx, Errno::kEPERM, /*dur_ns=*/0, /*seccomp_denied=*/true);
   }
-  if (audit_sink_) {
-    audit_sink_(StrFormat("seccomp: pid=%d comm=%s denied %s(%d)", ctx.pid,
-                          ctx.comm ? ctx.comm->c_str() : "?", SysnoName(ctx.nr),
-                          static_cast<int>(ctx.nr)));
+  if (audit_ != nullptr) {
+    audit_->Push(StrFormat("seccomp: pid=%d comm=%s denied %s(%d)", ctx.pid,
+                           ctx.comm ? ctx.comm->c_str() : "?", SysnoName(ctx.nr),
+                           static_cast<int>(ctx.nr)));
   }
 }
 
@@ -730,35 +726,9 @@ void SyscallGate::RecordTrace(SyscallContext& ctx, Errno err, uint64_t dur_ns,
   }
 }
 
-SyscallGate::ExemplarShard& SyscallGate::MyExemplarShard() {
-  struct TlCache {
-    uint64_t gate_id = 0;
-    ExemplarShard* shard = nullptr;
-  };
-  thread_local TlCache cache;
-  if (cache.gate_id != id_) {
-    cache = {id_, &RegisterExemplarShard()};
-  }
-  return *cache.shard;
-}
-
-SyscallGate::ExemplarShard& SyscallGate::RegisterExemplarShard() {
-  std::lock_guard<std::mutex> lk(exemplar_mu_);
-  std::thread::id me = std::this_thread::get_id();
-  for (const std::unique_ptr<ExemplarShard>& s : exemplar_shards_) {
-    if (s->owner == me) {
-      return *s;
-    }
-  }
-  exemplar_shards_.push_back(std::make_unique<ExemplarShard>());
-  ExemplarShard& shard = *exemplar_shards_.back();
-  shard.owner = me;
-  return shard;
-}
-
 void SyscallGate::RecordExemplar(Sysno nr, uint64_t dur_ticks, uint64_t dur_ns,
                                  uint64_t span, int pid) {
-  ExemplarShard& shard = MyExemplarShard();
+  ExemplarShard& shard = exemplar_shards_.Mine();
   std::unique_ptr<SysnoExemplars>& slot = shard.per_sysno[static_cast<size_t>(nr)];
   if (slot == nullptr) {
     slot = std::make_unique<SysnoExemplars>();
@@ -802,18 +772,15 @@ void SyscallGate::RecordExemplar(Sysno nr, uint64_t dur_ticks, uint64_t dur_ns,
 
 std::vector<SyscallGate::ExemplarRecord> SyscallGate::ExemplarsFor(Sysno nr) const {
   std::vector<ExemplarRecord> all;
-  {
-    std::lock_guard<std::mutex> lk(exemplar_mu_);
-    for (const std::unique_ptr<ExemplarShard>& shard : exemplar_shards_) {
-      const std::unique_ptr<SysnoExemplars>& res = shard->per_sysno[static_cast<size_t>(nr)];
-      if (res == nullptr) {
-        continue;
-      }
-      for (size_t i = 0; i < res->used; ++i) {
-        all.push_back(res->slots[i]);
-      }
+  exemplar_shards_.ForEach([&](const ExemplarShard& shard) {
+    const std::unique_ptr<SysnoExemplars>& res = shard.per_sysno[static_cast<size_t>(nr)];
+    if (res == nullptr) {
+      return;
     }
-  }
+    for (size_t i = 0; i < res->used; ++i) {
+      all.push_back(res->slots[i]);
+    }
+  });
   // Slowest first; span breaks ties so the merged top-K is stable.
   std::sort(all.begin(), all.end(), [](const ExemplarRecord& a, const ExemplarRecord& b) {
     if (a.dur_ticks != b.dur_ticks) return a.dur_ticks > b.dur_ticks;
@@ -826,53 +793,20 @@ std::vector<SyscallGate::ExemplarRecord> SyscallGate::ExemplarsFor(Sysno nr) con
   return all;
 }
 
-std::vector<SyscallGate::TraceRecord> SyscallGate::TraceSnapshot() const {
-  std::vector<TraceRecord> out;
-  if (tracer_ == nullptr) {
-    return out;
-  }
-  for (const TraceEvent& ev : tracer_->Snapshot()) {
-    if (ev.tp != TracepointId::kSyscall) {
-      continue;
-    }
-    TraceRecord rec;
-    rec.seq = ev.seq;
-    rec.tick = ev.tick;
-    rec.pid = ev.pid;
-    rec.nr = static_cast<Sysno>(ev.a);
-    rec.err = static_cast<Errno>(ev.code);
-    rec.dur_ns = ev.dur;
-    rec.seccomp_denied = (ev.flags & kTraceFlagSeccompDenied) != 0;
-    rec.comm = ev.comm;
-    rec.args = ev.detail;
-    out.push_back(std::move(rec));
-  }
-  return out;
-}
-
-void SyscallGate::ClearTrace() {
-  if (tracer_ != nullptr) {
-    tracer_->Clear();
-  }
-}
-
 void SyscallGate::ResetStats() {
   for (PerSyscall& s : stats_) {
     s.calls.store(0, std::memory_order_relaxed);
     s.errors.store(0, std::memory_order_relaxed);
     s.seccomp_denied.store(0, std::memory_order_relaxed);
     s.rule_evals.store(0, std::memory_order_relaxed);
-    s.total_ns.store(0, std::memory_order_relaxed);
-    s.total_ticks.store(0, std::memory_order_relaxed);
     s.lat_ticks.Reset();
     s.lat_ns.Reset();
   }
-  std::lock_guard<std::mutex> lk(exemplar_mu_);
-  for (const std::unique_ptr<ExemplarShard>& shard : exemplar_shards_) {
-    for (std::unique_ptr<SysnoExemplars>& res : shard->per_sysno) {
+  exemplar_shards_.ForEach([](ExemplarShard& shard) {
+    for (std::unique_ptr<SysnoExemplars>& res : shard.per_sysno) {
       res.reset();
     }
-  }
+  });
 }
 
 std::string SyscallGate::FormatStats() const {
@@ -891,17 +825,13 @@ std::string SyscallGate::FormatStats() const {
                      SysnoName(nr), (unsigned long long)s.calls,
                      (unsigned long long)s.errors,
                      (unsigned long long)s.seccomp_denied,
-                     (unsigned long long)s.total_ns,
-                     (unsigned long long)s.total_ticks);
+                     (unsigned long long)s.lat_ns.sum(),
+                     (unsigned long long)s.lat_ticks.sum());
   }
   out += StrFormat("total: calls=%llu errors=%llu seccomp_denied=%llu\n",
                    (unsigned long long)calls, (unsigned long long)errors,
                    (unsigned long long)denied);
   return out;
-}
-
-std::string SyscallGate::FormatTrace() const {
-  return tracer_ != nullptr ? tracer_->Format() : std::string();
 }
 
 void SyscallGate::CollectMetrics(MetricsBuilder& b) const {

@@ -19,19 +19,20 @@
 //      only ever be narrowed, never widened or removed — intersecting two
 //      predicate filters conjoins their rule lists (cross product), so the
 //      result admits only calls both filters admitted.
-//   2. accounting — per-syscall hit/error counters, latency totals, and
-//      log2-bucket latency histograms (exported at /proc/protego/metrics).
+//   2. accounting — per-syscall hit/error counters and log2-bucket latency
+//      histograms, whose sums are the latency totals (exported at
+//      /proc/protego/metrics and /proc/protego/syscall_stats).
 //   3. tracing — each call opens a decision span on the kernel-wide Tracer;
 //      LSM/VFS/netfilter events emitted during the body are stamped with the
 //      span id, and the syscall's own record (the span root) is emitted at
-//      exit. /proc/protego/trace renders the resulting derivation trees;
-//      stats live at /proc/protego/syscall_stats.
+//      exit. The gate only emits: readers (/proc/protego/trace, tests,
+//      benches) go to the Tracer itself for the resulting derivation trees.
 //
 // Seccomp-killed calls (the filter refuses the syscall at entry) follow ONE
 // consistent semantic everywhere:
 //   - stats: counted in calls, errors, and seccomp_denied;
 //   - trace: recorded as a span root with the seccomp_denied flag and EPERM;
-//   - latency: EXCLUDED from totals and histograms — the body never ran, so
+//   - latency: EXCLUDED from the histograms — the body never ran, so
 //     a duration would be meaningless and would skew the distributions.
 // So for any syscall: lat_ticks.count() == calls - seccomp_denied.
 //
@@ -75,7 +76,6 @@
 #include <optional>
 #include <string>
 #include <string_view>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -83,8 +83,10 @@
 #include "src/base/clock.h"
 #include "src/base/metrics.h"
 #include "src/base/result.h"
+#include "src/base/thread_shards.h"
 #include "src/base/tracepoint.h"
 #include "src/fault/fault.h"
+#include "src/kernel/audit_ring.h"
 #include "src/kernel/sched_iface.h"
 #include "src/vfs/vfs.h"
 
@@ -302,8 +304,6 @@ struct SyscallContext {
 
 class SyscallGate {
  public:
-  static constexpr size_t kTraceCapacity = 256;
-
   // Dispatch-word bits (see the file comment). Resolved once per call.
   static constexpr uint8_t kDispatchTrace = 1 << 0;
   static constexpr uint8_t kDispatchExemplar = 1 << 1;
@@ -316,14 +316,13 @@ class SyscallGate {
   // All fields are relaxed atomics: in parallel mode N task threads retire
   // syscalls concurrently, and the stats path must stay lock-free. Readers
   // (stats export, /proc) see per-field-consistent totals, which is the same
-  // contract /proc/stat offers on SMP Linux.
+  // contract /proc/stat offers on SMP Linux. Latency totals are the
+  // histograms' sum().
   struct PerSyscall {
     std::atomic<uint64_t> calls{0};
     std::atomic<uint64_t> errors{0};          // calls that returned a nonzero errno
     std::atomic<uint64_t> seccomp_denied{0};  // refused by the task's filter (subset of errors)
     std::atomic<uint64_t> rule_evals{0};      // argument rules inspected by predicate filters
-    std::atomic<uint64_t> total_ns{0};        // wall-clock latency total (when timing is on)
-    std::atomic<uint64_t> total_ticks{0};     // virtual-clock latency total
     Histogram lat_ticks;                      // virtual-clock latency distribution
     Histogram lat_ns;                         // wall-clock distribution (when timing is on)
   };
@@ -347,21 +346,6 @@ class SyscallGate {
     std::vector<std::string> list;
   };
   using SyscallRecorder = std::function<void(const SyscallObservation&)>;
-
-  // One row of the legacy structured trace view: the span-root (syscall)
-  // events of the shared Tracer ring, reprojected into the pre-tracepoint
-  // record shape. Kept so existing tests/tools keep working.
-  struct TraceRecord {
-    uint64_t seq = 0;
-    uint64_t tick = 0;
-    int pid = 0;
-    Sysno nr{};
-    Errno err = Errno::kOk;
-    uint64_t dur_ns = 0;
-    bool seccomp_denied = false;
-    std::string comm;
-    std::string args;
-  };
 
   explicit SyscallGate(const Clock* clock);
 
@@ -397,19 +381,9 @@ class SyscallGate {
   bool enabled() const { return enabled_; }
   void set_enabled(bool on) { enabled_ = on; }
 
-  // Tracing toggle: forwards to the shared Tracer's master switch (the
-  // /proc/protego/trace "on"/"off" commands land here).
-  bool trace_enabled() const { return tracer_ != nullptr && tracer_->enabled(); }
-  void set_trace_enabled(bool on) {
-    if (tracer_ != nullptr) {
-      tracer_->set_enabled(on);
-    }
-  }
-
   // Wall-clock latency accounting (two monotonic clock reads per syscall).
   // Off by default — latency totals normally come from the free virtual
   // clock; profiling sessions opt in to nanosecond timing.
-  bool wallclock_timing() const { return wallclock_timing_; }
   void set_wallclock_timing(bool on) {
     wallclock_timing_ = on;
     BumpLocalGen();
@@ -464,7 +438,6 @@ class SyscallGate {
   // Tail-exemplar reservoir toggle (on by default; costs one compare per
   // call once a syscall's reservoir is warm). Requires a tracer (exemplars
   // ride the tracer's master switch so a fully-off tracer pays nothing).
-  bool exemplars_enabled() const { return exemplars_enabled_; }
   void set_exemplars_enabled(bool on) {
     exemplars_enabled_ = on;
     BumpLocalGen();
@@ -479,7 +452,7 @@ class SyscallGate {
     int pid = 0;
   };
   // Top-K exemplars for one syscall, slowest first (merged across thread
-  // shards; exact when emitters are quiescent, like TraceSnapshot).
+  // shards; exact when emitters are quiescent, like Tracer::Snapshot).
   std::vector<ExemplarRecord> ExemplarsFor(Sysno nr) const;
 
   // Resolves the dispatch word for one syscall number, rebuilding the table
@@ -495,10 +468,10 @@ class SyscallGate {
     return dispatch_[static_cast<size_t>(nr)].load(std::memory_order_relaxed);
   }
 
-  // Seccomp denials are forwarded here (the kernel wires this to Audit).
-  void set_audit_sink(std::function<void(std::string)> sink) {
-    audit_sink_ = std::move(sink);
-  }
+  // Seccomp denial lines go to this ring (the kernel attaches its own
+  // audit ring at boot). Detached (nullptr), denials are only counted and
+  // traced.
+  void set_audit(AuditRing* audit) { audit_ = audit; }
 
   // Attaches the trace-driven synthesis recorder: every retired syscall
   // (including seccomp denials) is mirrored to it as a SyscallObservation.
@@ -518,16 +491,8 @@ class SyscallGate {
   const PerSyscall& stats(Sysno nr) const { return stats_[static_cast<size_t>(nr)]; }
   uint64_t TotalCalls() const;
 
-  // Trace records (syscall span roots only), oldest first.
-  std::vector<TraceRecord> TraceSnapshot() const;
-  void ClearTrace();
-  uint64_t trace_seq() const { return tracer_ != nullptr ? tracer_->seq() : 0; }
-  // Events overwritten since the last clear (ring capacity exceeded).
-  uint64_t trace_dropped() const { return tracer_ != nullptr ? tracer_->dropped() : 0; }
-
-  // /proc/protego/syscall_stats and /proc/protego/trace bodies.
+  // The /proc/protego/syscall_stats body.
   std::string FormatStats() const;
-  std::string FormatTrace() const;
   void ResetStats();
 
   // Reports per-syscall counters and latency histograms to the metrics
@@ -719,7 +684,6 @@ class SyscallGate {
   // Tracer's ring shards): per-sysno reservoirs allocated lazily, so a
   // thread that never calls mount never pays for a mount reservoir.
   struct ExemplarShard {
-    std::thread::id owner;
     std::unique_ptr<SysnoExemplars> per_sysno[kSysnoSlots];
   };
 
@@ -783,12 +747,6 @@ class SyscallGate {
   // Offers one completed call to the calling thread's tail reservoir.
   void RecordExemplar(Sysno nr, uint64_t dur_ticks, uint64_t dur_ns, uint64_t span,
                       int pid);
-  ExemplarShard& MyExemplarShard();
-  // MyExemplarShard's miss path: finds or creates this thread's shard. Out
-  // of line, so the cached hit on every untraced data-plane call (the
-  // default config's only observer work) inlines without the
-  // lock-and-search prologue.
-  [[gnu::noinline]] ExemplarShard& RegisterExemplarShard();
 
   void BumpLocalGen() { local_gen_.fetch_add(1, std::memory_order_relaxed); }
   void RebuildDispatch(uint64_t tracer_gen);
@@ -802,7 +760,7 @@ class SyscallGate {
   bool wallclock_timing_ = false;
   bool exemplars_enabled_ = true;
   PerSyscall stats_[kSysnoSlots] = {};
-  std::function<void(std::string)> audit_sink_;
+  AuditRing* audit_ = nullptr;
   SyscallRecorder recorder_;
   std::atomic<bool> has_recorder_{false};
 
@@ -820,9 +778,9 @@ class SyscallGate {
   std::bitset<kSysnoSlots> timed_syscalls_;
 
   // --- Exemplar reservoir -----------------------------------------------------
-  uint64_t id_;  // process-unique, for the thread-local shard cache
-  mutable std::mutex exemplar_mu_;  // guards exemplar_shards_ growth + reads
-  std::vector<std::unique_ptr<ExemplarShard>> exemplar_shards_;
+  // The cached shard hit inlines into RecordExemplar: on every untraced
+  // data-plane call it is the default config's only observer work.
+  ThreadShards<ExemplarShard> exemplar_shards_;
 };
 
 }  // namespace protego

@@ -28,8 +28,8 @@ bool AppArmorModule::CapablePermitted(const Task& task, Capability cap) {
   if (profile->capability_bound.Has(cap)) {
     return true;
   }
-  denials_.push_back(StrFormat("apparmor: %s denied %s for %s", profile->binary.c_str(),
-                               CapabilityName(cap), task.comm.c_str()));
+  audit_->Push(StrFormat("apparmor: %s denied %s for %s", profile->binary.c_str(),
+                         CapabilityName(cap), task.comm.c_str()));
   if (!profile->enforce) {
     return true;  // complain mode: log but allow
   }
@@ -52,8 +52,8 @@ HookVerdict AppArmorModule::InodePermission(Task& task, const std::string& path,
   if ((granted & may) == may) {
     return HookVerdict::kDefault;  // profile permits; DAC still applies
   }
-  denials_.push_back(StrFormat("apparmor: %s denied %s may=%d for %s", profile->binary.c_str(),
-                               path.c_str(), may, task.comm.c_str()));
+  audit_->Push(StrFormat("apparmor: %s denied %s may=%d for %s", profile->binary.c_str(),
+                         path.c_str(), may, task.comm.c_str()));
   if (!profile->enforce) {
     return HookVerdict::kDefault;
   }

@@ -5,6 +5,10 @@
 // As on stock Ubuntu, binaries without a profile run unconfined; the module
 // still pays the hook-traversal cost on every mediated operation, which is
 // what the Table 5 baseline measures.
+//
+// Every denial, in enforce and complain mode alike, is one line in the
+// kernel's audit ring (/proc/protego/audit); the module keeps no log of
+// its own.
 
 #ifndef SRC_LSM_APPARMOR_H_
 #define SRC_LSM_APPARMOR_H_
@@ -13,6 +17,7 @@
 #include <string>
 #include <vector>
 
+#include "src/kernel/audit_ring.h"
 #include "src/lsm/module.h"
 
 namespace protego {
@@ -34,6 +39,9 @@ struct AaProfile {
 
 class AppArmorModule : public SecurityModule {
  public:
+  // Denial lines are pushed into `audit` (the kernel's audit ring).
+  explicit AppArmorModule(AuditRing* audit) : audit_(audit) {}
+
   const char* name() const override { return "apparmor"; }
 
   void LoadProfile(AaProfile profile);
@@ -41,17 +49,13 @@ class AppArmorModule : public SecurityModule {
   const AaProfile* FindProfile(const std::string& binary) const;
   size_t profile_count() const { return profiles_.size(); }
 
-  // Denials recorded in complain mode (and enforce mode), for audit tests.
-  const std::vector<std::string>& denials() const { return denials_; }
-  void ClearDenials() { denials_.clear(); }
-
   bool CapablePermitted(const Task& task, Capability cap) override;
   HookVerdict InodePermission(Task& task, const std::string& path, const Inode& inode,
                               int may) override;
 
  private:
+  AuditRing* audit_;
   std::map<std::string, AaProfile> profiles_;
-  std::vector<std::string> denials_;
 };
 
 }  // namespace protego

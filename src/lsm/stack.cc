@@ -67,14 +67,6 @@ SecurityModule* LsmStack::Find(const char* name) {
   return nullptr;
 }
 
-uint64_t LsmStack::TotalHookInvocations() const {
-  uint64_t total = 0;
-  for (const std::atomic<uint64_t>& c : hook_counts_) {
-    total += c.load(std::memory_order_relaxed);
-  }
-  return total;
-}
-
 bool LsmStack::Capable(const Task& task, Capability cap) const {
   for (const auto& m : modules_) {
     if (!m->CapablePermitted(task, cap)) {

@@ -77,7 +77,6 @@ class LsmStack {
   uint64_t HookInvocations(LsmHook hook) const {
     return hook_counts_[static_cast<size_t>(hook)].load(std::memory_order_relaxed);
   }
-  uint64_t TotalHookInvocations() const;
 
   // --- Observability ----------------------------------------------------------
 
@@ -102,17 +101,6 @@ class LsmStack {
   // Dispatches denied because a fault was injected at the hook site.
   uint64_t fail_closed_denials() const {
     return fail_closed_.load(std::memory_order_relaxed);
-  }
-
-  // Per-hook latency distribution in virtual clock ticks.
-  const Histogram& HookLatency(LsmHook hook) const {
-    return hook_lat_[static_cast<size_t>(hook)];
-  }
-
-  // Combined verdicts module `i` returned, indexed by HookVerdict value.
-  uint64_t ModuleVerdicts(size_t module_index, HookVerdict v) const {
-    return module_verdicts_[module_index][static_cast<size_t>(v)].load(
-        std::memory_order_relaxed);
   }
 
   // Reports hook invocation counters, latency histograms, per-module

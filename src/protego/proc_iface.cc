@@ -281,6 +281,36 @@ Result<SyscallSetSpec> ParseSyscallSet(const char* what, std::string_view value)
   return spec;
 }
 
+// The one listing of Protego's policy-outcome counters. /proc/protego/status
+// renders every row as "<key> <n>" in table order; the metrics collector
+// renders it as protego_policy_decisions_total{op,outcome}, except the row
+// without an op, which is its own family.
+struct PolicyCounter {
+  const char* key;      // /proc/protego/status key
+  const char* op;       // metrics label (nullptr: not a policy decision)
+  const char* outcome;  // metrics label
+  std::atomic<uint64_t> ProtegoStats::*field;
+};
+
+constexpr PolicyCounter kPolicyCounters[] = {
+    {"mount_allowed", "mount", "allowed", &ProtegoStats::mount_allowed},
+    {"mount_denied", "mount", "denied", &ProtegoStats::mount_denied},
+    {"umount_allowed", "umount", "allowed", &ProtegoStats::umount_allowed},
+    {"umount_denied", "umount", "denied", &ProtegoStats::umount_denied},
+    {"bind_allowed", "bind", "allowed", &ProtegoStats::bind_allowed},
+    {"bind_denied", "bind", "denied", &ProtegoStats::bind_denied},
+    {"setuid_allowed", "setuid", "allowed", &ProtegoStats::setuid_allowed},
+    {"setuid_deferred", "setuid", "deferred", &ProtegoStats::setuid_deferred},
+    {"setuid_denied", "setuid", "denied", &ProtegoStats::setuid_denied},
+    {"exec_transitions", "exec", "transition", &ProtegoStats::exec_transitions},
+    {"exec_denied", "exec", "denied", &ProtegoStats::exec_denied},
+    {"raw_sockets_allowed", "raw_socket", "allowed", &ProtegoStats::raw_sockets_allowed},
+    {"route_allowed", "route", "allowed", &ProtegoStats::route_allowed},
+    {"route_denied", "route", "denied", &ProtegoStats::route_denied},
+    {"file_delegations", "file", "delegated", &ProtegoStats::file_delegations},
+    {"reauth_reads", nullptr, nullptr, &ProtegoStats::reauth_reads},
+};
+
 }  // namespace
 
 Result<Unit> InstallProtegoProcFiles(Kernel* kernel, ProtegoLsm* lsm) {
@@ -330,22 +360,9 @@ Result<Unit> InstallProtegoProcFiles(Kernel* kernel, ProtegoLsm* lsm) {
   status_ops.read = [kernel, lsm]() {
     const ProtegoStats& s = lsm->stats();
     std::string out;
-    out += StrFormat("mount_allowed %llu\n", (unsigned long long)s.mount_allowed);
-    out += StrFormat("mount_denied %llu\n", (unsigned long long)s.mount_denied);
-    out += StrFormat("umount_allowed %llu\n", (unsigned long long)s.umount_allowed);
-    out += StrFormat("umount_denied %llu\n", (unsigned long long)s.umount_denied);
-    out += StrFormat("bind_allowed %llu\n", (unsigned long long)s.bind_allowed);
-    out += StrFormat("bind_denied %llu\n", (unsigned long long)s.bind_denied);
-    out += StrFormat("setuid_allowed %llu\n", (unsigned long long)s.setuid_allowed);
-    out += StrFormat("setuid_deferred %llu\n", (unsigned long long)s.setuid_deferred);
-    out += StrFormat("setuid_denied %llu\n", (unsigned long long)s.setuid_denied);
-    out += StrFormat("exec_transitions %llu\n", (unsigned long long)s.exec_transitions);
-    out += StrFormat("exec_denied %llu\n", (unsigned long long)s.exec_denied);
-    out += StrFormat("raw_sockets_allowed %llu\n", (unsigned long long)s.raw_sockets_allowed);
-    out += StrFormat("route_allowed %llu\n", (unsigned long long)s.route_allowed);
-    out += StrFormat("route_denied %llu\n", (unsigned long long)s.route_denied);
-    out += StrFormat("file_delegations %llu\n", (unsigned long long)s.file_delegations);
-    out += StrFormat("reauth_reads %llu\n", (unsigned long long)s.reauth_reads);
+    for (const PolicyCounter& c : kPolicyCounters) {
+      out += StrFormat("%s %llu\n", c.key, (unsigned long long)(s.*c.field).load());
+    }
     out += StrFormat("audit_dropped %llu\n", (unsigned long long)kernel->audit_dropped());
     // Policy-engine state: the generation every policy swap bumps.
     out += StrFormat("policy_generation %llu\n",
@@ -391,15 +408,15 @@ Result<Unit> InstallProtegoProcFiles(Kernel* kernel, ProtegoLsm* lsm) {
   // and "syscalls=..." / "timed=..." (all|none|name,name) set the
   // per-syscall trace/timing dispatch sets.
   SyntheticOps trace_ops;
-  trace_ops.read = [kernel]() { return kernel->syscalls().FormatTrace(); };
+  trace_ops.read = [kernel]() { return kernel->tracer().Format(); };
   trace_ops.write = [kernel](std::string_view data) -> Result<Unit> {
     std::string_view cmd = Trim(data);
     if (cmd == "clear") {
-      kernel->syscalls().ClearTrace();
+      kernel->tracer().Clear();
     } else if (cmd == "on") {
-      kernel->syscalls().set_trace_enabled(true);
+      kernel->tracer().set_enabled(true);
     } else if (cmd == "off") {
-      kernel->syscalls().set_trace_enabled(false);
+      kernel->tracer().set_enabled(false);
     } else if (!cmd.empty() && cmd[0] == '?') {
       ASSIGN_OR_RETURN(TraceFilter filter, ParseTraceQuery(cmd));
       kernel->tracer().set_read_filter(std::move(filter));
@@ -558,31 +575,21 @@ Result<Unit> InstallProtegoProcFiles(Kernel* kernel, ProtegoLsm* lsm) {
   RETURN_IF_ERROR(vfs.CreateSynthetic("/proc/protego/metrics", 0444, std::move(metrics_ops)));
 
   // Protego's own policy-outcome counters, re-exported through the registry
-  // so the legacy /proc/protego/status numbers and the metrics file can never
-  // disagree (they read the same ProtegoStats fields).
+  // from the same kPolicyCounters table /proc/protego/status renders, so the
+  // two can never disagree.
   kernel->metrics().AddCollector([lsm](MetricsBuilder& b) {
     const ProtegoStats& s = lsm->stats();
-    const char* help = "Protego policy decisions by operation and outcome.";
-    auto row = [&](const char* op, const char* outcome, uint64_t n) {
-      b.Counter("protego_policy_decisions_total", help, {{"op", op}, {"outcome", outcome}}, n);
-    };
-    row("mount", "allowed", s.mount_allowed);
-    row("mount", "denied", s.mount_denied);
-    row("umount", "allowed", s.umount_allowed);
-    row("umount", "denied", s.umount_denied);
-    row("bind", "allowed", s.bind_allowed);
-    row("bind", "denied", s.bind_denied);
-    row("setuid", "allowed", s.setuid_allowed);
-    row("setuid", "deferred", s.setuid_deferred);
-    row("setuid", "denied", s.setuid_denied);
-    row("exec", "transition", s.exec_transitions);
-    row("exec", "denied", s.exec_denied);
-    row("raw_socket", "allowed", s.raw_sockets_allowed);
-    row("route", "allowed", s.route_allowed);
-    row("route", "denied", s.route_denied);
-    row("file", "delegated", s.file_delegations);
-    b.Counter("protego_reauth_reads_total",
-              "Reads of re-authentication state by the auth agent.", {}, s.reauth_reads);
+    for (const PolicyCounter& c : kPolicyCounters) {
+      uint64_t n = (s.*c.field).load();
+      if (c.op == nullptr) {
+        b.Counter("protego_reauth_reads_total",
+                  "Reads of re-authentication state by the auth agent.", {}, n);
+        continue;
+      }
+      b.Counter("protego_policy_decisions_total",
+                "Protego policy decisions by operation and outcome.",
+                {{"op", c.op}, {"outcome", c.outcome}}, n);
+    }
   });
 
   return OkUnit();

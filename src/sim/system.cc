@@ -39,7 +39,7 @@ const char* SimModeName(SimMode mode) {
 SimSystem::SimSystem(SimMode mode) : mode_(mode) {
   // LSM stack: commoncap first (as on Linux), then AppArmor, then Protego.
   kernel_.lsm().Register(std::make_unique<CapabilityModule>());
-  auto apparmor = std::make_unique<AppArmorModule>();
+  auto apparmor = std::make_unique<AppArmorModule>(&kernel_.audit_ring());
   apparmor_ = apparmor.get();
   kernel_.lsm().Register(std::move(apparmor));
   if (mode_ == SimMode::kProtego) {

@@ -104,21 +104,22 @@ TEST_F(ObservabilityTest, DispatchWordTracksConfiguration) {
 TEST_F(ObservabilityTest, UntracedSyscallsSkipTraceButKeepStats) {
   Task& alice = User(1000);
   SyscallGate& gate = kernel_.syscalls();
+  Tracer& tracer = kernel_.tracer();
 
   ASSERT_TRUE(kernel_.Stat(alice, "/etc/passwd").ok());
-  EXPECT_NE(gate.FormatTrace().find("stat("), std::string::npos);
+  EXPECT_NE(tracer.Format().find("stat("), std::string::npos);
 
-  gate.ClearTrace();
+  tracer.Clear();
   gate.SetAllSyscallsTraced(false);
   const uint64_t calls = gate.stats(Sysno::kStat).calls;
   ASSERT_TRUE(kernel_.Stat(alice, "/etc/passwd").ok());
-  EXPECT_EQ(gate.FormatTrace().find("stat("), std::string::npos);
+  EXPECT_EQ(tracer.Format().find("stat("), std::string::npos);
   EXPECT_EQ(gate.stats(Sysno::kStat).calls, calls + 1);
 
   // Re-widening restores emission.
   gate.SetSyscallTraced(Sysno::kStat, true);
   ASSERT_TRUE(kernel_.Stat(alice, "/etc/passwd").ok());
-  EXPECT_NE(gate.FormatTrace().find("stat("), std::string::npos);
+  EXPECT_NE(tracer.Format().find("stat("), std::string::npos);
 }
 
 // --- Seeded sampling ---------------------------------------------------------
@@ -234,10 +235,10 @@ TEST_F(ObservabilityTest, ExemplarsEscapeHeadSampling) {
   kernel_.tracer().set_sample_rate(TracepointId::kSyscall, 1000000);
   kernel_.tracer().set_sample_seed(7);
   Task& alice = User(1000);
-  kernel_.syscalls().ClearTrace();
+  kernel_.tracer().Clear();
   tick_->set_step(3);
   ASSERT_TRUE(kernel_.Access(alice, "/etc/passwd", kMayRead).ok());
-  EXPECT_EQ(kernel_.syscalls().FormatTrace().find("access("), std::string::npos);
+  EXPECT_EQ(kernel_.tracer().Format().find("access("), std::string::npos);
   ASSERT_EQ(kernel_.syscalls().ExemplarsFor(Sysno::kAccess).size(), 1u);
   EXPECT_EQ(kernel_.syscalls().ExemplarsFor(Sysno::kAccess)[0].dur_ticks, 3u);
 }

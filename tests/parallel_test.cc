@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
 #include <memory>
@@ -13,6 +14,7 @@
 #include <thread>
 #include <vector>
 
+#include "src/base/strings.h"
 #include "src/conc/explore.h"
 #include "src/conc/fleet.h"
 #include "src/conc/thread_sched.h"
@@ -343,6 +345,60 @@ TEST(ParallelPolicySwap, SwapMidTrafficIsCoherent) {
   // Traffic after the last swap behaves identically to a fresh boot.
   Task& probe = sys.Login("alice");
   EXPECT_TRUE(k.Access(probe, "/etc/passwd", kMayRead).ok());
+}
+
+// --- One audit store under real threads -------------------------------------
+
+// Confined tasks on real threads each make denied opens through an AppArmor
+// enforce profile. Every denial is one line in the kernel's audit ring (the
+// module keeps no log of its own), so the ring's pushed count (retained plus
+// overwritten) grows by exactly the number of denials. Under
+// -fsanitize=thread this is the race audit of the denial path.
+TEST(ParallelAudit, AppArmorDenialsLandInTheAuditRingUnderRealThreads) {
+  constexpr int kThreads = 4;
+  constexpr int kOpens = 500;
+  SimSystem sys(SimMode::kLinux);
+  Kernel& k = sys.kernel();
+  AaProfile profile;
+  profile.binary = "/usr/sbin/confined";
+  profile.file_rules.push_back({"/var/lib/confined/*", kMayRead});
+  sys.apparmor()->LoadProfile(profile);
+  std::vector<Task*> tasks;
+  for (int t = 0; t < kThreads; ++t) {
+    Task& task = k.CreateTask("confined", Cred::ForUser(1000 + t, 1000 + t), nullptr);
+    task.exe_path = profile.binary;
+    tasks.push_back(&task);
+  }
+  const uint64_t pushed_before = k.audit_log().size() + k.audit_dropped();
+
+  std::atomic<int> refused{0};
+  ThreadScheduler sched;
+  k.set_scheduler(&sched);
+  for (Task* task : tasks) {
+    sched.StartTask(task->pid, [&k, task, &refused] {
+      for (int i = 0; i < kOpens; ++i) {
+        if (k.Open(*task, "/etc/passwd", kORdOnly).code() == Errno::kEACCES) {
+          refused.fetch_add(1, std::memory_order_relaxed);
+        }
+      }
+    });
+  }
+  sched.Join();
+  k.set_scheduler(nullptr);
+
+  const uint64_t denials = uint64_t{kThreads} * kOpens;
+  EXPECT_EQ(static_cast<uint64_t>(refused.load()), denials);
+  const std::vector<std::string> log = k.audit_log();
+  EXPECT_EQ(log.size() + k.audit_dropped() - pushed_before, denials);
+  const std::string expected = "apparmor: /usr/sbin/confined denied /etc/passwd may=4 for confined";
+  size_t apparmor_lines = 0;
+  for (const std::string& line : log) {
+    if (StartsWith(line, "apparmor: ")) {
+      EXPECT_EQ(line, expected);
+      ++apparmor_lines;
+    }
+  }
+  EXPECT_EQ(apparmor_lines, std::min<uint64_t>(denials, k.audit_ring().capacity()));
 }
 
 // --- Stale-generation regression ---------------------------------------------

@@ -84,31 +84,33 @@ TEST_F(SyscallGateTest, GetPidRoutesThroughGate) {
   EXPECT_EQ(kernel_.syscalls().stats(Sysno::kGetPid).calls, calls + 1);
 }
 
-TEST_F(SyscallGateTest, TraceRecordsCarryErrno) {
+TEST_F(SyscallGateTest, SyscallTraceEventsCarryErrno) {
   Task& alice = User(1000);
-  kernel_.syscalls().ClearTrace();
+  kernel_.tracer().Clear();
   EXPECT_EQ(kernel_.Open(alice, "/etc/secret", kORdOnly).code(), Errno::kEACCES);
-  auto trace = kernel_.syscalls().TraceSnapshot();
+  auto trace = kernel_.tracer().Snapshot();
   ASSERT_FALSE(trace.empty());
-  const auto& rec = trace.back();
-  EXPECT_EQ(rec.nr, Sysno::kOpen);
-  EXPECT_EQ(rec.err, Errno::kEACCES);
-  EXPECT_EQ(rec.pid, alice.pid);
-  EXPECT_FALSE(rec.seccomp_denied);
-  EXPECT_NE(rec.args.find("/etc/secret"), std::string::npos);
+  // The span root is emitted at exit, after the open's hook events.
+  const TraceEvent& ev = trace.back();
+  EXPECT_EQ(ev.tp, TracepointId::kSyscall);
+  EXPECT_EQ(ev.a, static_cast<uint64_t>(Sysno::kOpen));
+  EXPECT_EQ(ev.code, static_cast<int>(Errno::kEACCES));
+  EXPECT_EQ(ev.pid, alice.pid);
+  EXPECT_EQ(ev.flags & kTraceFlagSeccompDenied, 0u);
+  EXPECT_NE(ev.detail.find("/etc/secret"), std::string::npos);
 }
 
 TEST_F(SyscallGateTest, TraceRingIsBounded) {
   Task& alice = User(1000);
-  kernel_.syscalls().ClearTrace();
+  Tracer& tracer = kernel_.tracer();
+  tracer.Clear();
   for (int i = 0; i < 300; ++i) {
     (void)kernel_.GetPid(alice);
   }
-  EXPECT_EQ(kernel_.syscalls().TraceSnapshot().size(), SyscallGate::kTraceCapacity);
-  EXPECT_EQ(kernel_.syscalls().trace_dropped(), 300 - SyscallGate::kTraceCapacity);
-  // Oldest retained record is the one after the drops.
-  EXPECT_EQ(kernel_.syscalls().TraceSnapshot().front().seq,
-            300 - SyscallGate::kTraceCapacity);
+  EXPECT_EQ(tracer.Snapshot().size(), Kernel::kTraceCapacity);
+  EXPECT_EQ(tracer.dropped(), 300 - Kernel::kTraceCapacity);
+  // Oldest retained event is the one after the drops.
+  EXPECT_EQ(tracer.Snapshot().front().seq, 300 - Kernel::kTraceCapacity);
 }
 
 TEST_F(SyscallGateTest, SeccompDenialHappensBeforeLsmHooks) {
@@ -119,7 +121,7 @@ TEST_F(SyscallGateTest, SeccompDenialHappensBeforeLsmHooks) {
                   .ok());
   int spy_before = spy_->socket_create_calls;
   uint64_t stack_before = kernel_.lsm().HookInvocations(LsmHook::kSocketCreate);
-  kernel_.syscalls().ClearTrace();
+  kernel_.tracer().Clear();
 
   auto sock = kernel_.SocketCall(alice, kAfInet, kSockStream, 0);
   EXPECT_EQ(sock.code(), Errno::kEPERM);
@@ -129,11 +131,12 @@ TEST_F(SyscallGateTest, SeccompDenialHappensBeforeLsmHooks) {
   EXPECT_EQ(kernel_.lsm().HookInvocations(LsmHook::kSocketCreate), stack_before);
 
   // The denial is visible in the trace ring and the per-syscall counters.
-  auto trace = kernel_.syscalls().TraceSnapshot();
+  auto trace = kernel_.tracer().Snapshot();
   ASSERT_FALSE(trace.empty());
-  EXPECT_EQ(trace.back().nr, Sysno::kSocket);
-  EXPECT_TRUE(trace.back().seccomp_denied);
-  EXPECT_EQ(trace.back().err, Errno::kEPERM);
+  EXPECT_EQ(trace.back().tp, TracepointId::kSyscall);
+  EXPECT_EQ(trace.back().a, static_cast<uint64_t>(Sysno::kSocket));
+  EXPECT_NE(trace.back().flags & kTraceFlagSeccompDenied, 0u);
+  EXPECT_EQ(trace.back().code, static_cast<int>(Errno::kEPERM));
   EXPECT_GE(kernel_.syscalls().stats(Sysno::kSocket).seccomp_denied, 1u);
 
   // And in the audit log.
@@ -444,7 +447,11 @@ TEST(SyscallGateProcTest, StatsAndTraceExposedUnderProc) {
   // "clear" empties it; the next read shows only the syscalls of the read
   // path itself.
   ASSERT_TRUE(sim.kernel().WriteWholeFile(root, "/proc/protego/trace", "clear").ok());
-  EXPECT_TRUE(sim.syscalls().TraceSnapshot().size() < 10);
+  size_t roots = 0;
+  for (const TraceEvent& ev : sim.kernel().tracer().Snapshot()) {
+    roots += ev.tp == TracepointId::kSyscall ? 1 : 0;
+  }
+  EXPECT_LT(roots, 10u);
 }
 
 TEST(SyscallGateProcTest, SeccompFiltersExposedUnderProcWithPidFilter) {
@@ -500,8 +507,9 @@ TEST(SyscallGateSandboxTest, SandboxDropsSocketAfterSeccomp) {
   EXPECT_NE(run.out.find("socket after seccomp denied (EPERM)"), std::string::npos);
   // The denial shows up in the kernel's trace ring.
   bool traced = false;
-  for (const auto& rec : sim.syscalls().TraceSnapshot()) {
-    if (rec.nr == Sysno::kSocket && rec.seccomp_denied) {
+  for (const TraceEvent& ev : sim.kernel().tracer().Snapshot()) {
+    if (ev.tp == TracepointId::kSyscall && ev.a == static_cast<uint64_t>(Sysno::kSocket) &&
+        (ev.flags & kTraceFlagSeccompDenied) != 0) {
       traced = true;
     }
   }

@@ -156,33 +156,34 @@ class TracepointGateTest : public ::testing::Test {
 };
 
 TEST_F(TracepointGateTest, GateRingWraparoundBoundaries) {
-  kernel_.syscalls().ClearTrace();
-  constexpr size_t kCap = SyscallGate::kTraceCapacity;
+  Tracer& tracer = kernel_.tracer();
+  tracer.Clear();
+  constexpr size_t kCap = Kernel::kTraceCapacity;
   for (size_t i = 0; i < kCap; ++i) {
     kernel_.GetPid(*alice_);
   }
-  EXPECT_EQ(kernel_.syscalls().trace_dropped(), 0u);
-  EXPECT_EQ(kernel_.syscalls().TraceSnapshot().size(), kCap);
+  EXPECT_EQ(tracer.dropped(), 0u);
+  EXPECT_EQ(tracer.Snapshot().size(), kCap);
 
   kernel_.GetPid(*alice_);
-  EXPECT_EQ(kernel_.syscalls().trace_dropped(), 1u);
-  auto snap = kernel_.syscalls().TraceSnapshot();
+  EXPECT_EQ(tracer.dropped(), 1u);
+  auto snap = tracer.Snapshot();
   ASSERT_EQ(snap.size(), kCap);
   EXPECT_EQ(snap.front().seq, 1u);
 
-  kernel_.syscalls().ClearTrace();
-  EXPECT_EQ(kernel_.syscalls().trace_dropped(), 0u);
-  EXPECT_TRUE(kernel_.syscalls().TraceSnapshot().empty());
+  tracer.Clear();
+  EXPECT_EQ(tracer.dropped(), 0u);
+  EXPECT_TRUE(tracer.Snapshot().empty());
   // Spans keep working after a clear.
   kernel_.GetPid(*alice_);
-  snap = kernel_.syscalls().TraceSnapshot();
+  snap = tracer.Snapshot();
   ASSERT_EQ(snap.size(), 1u);
   EXPECT_EQ(snap.front().seq, 0u);
 }
 
 TEST_F(TracepointGateTest, SeccompKilledCallsFollowTheDocumentedSemantic) {
   ASSERT_TRUE(kernel_.SeccompSetFilter(*alice_, {Sysno::kGetPid, Sysno::kSeccomp}).ok());
-  kernel_.syscalls().ClearTrace();
+  kernel_.tracer().Clear();
 
   kernel_.GetPid(*alice_);
   auto denied = kernel_.SocketCall(*alice_, kAfInet, kSockStream, 0);
@@ -195,15 +196,15 @@ TEST_F(TracepointGateTest, SeccompKilledCallsFollowTheDocumentedSemantic) {
   EXPECT_EQ(s.seccomp_denied, 1u);
   // ...but EXCLUDED from the latency distribution (the body never ran).
   EXPECT_EQ(s.lat_ticks.count(), s.calls - s.seccomp_denied);
-  EXPECT_EQ(s.total_ticks, 0u);
+  EXPECT_EQ(s.lat_ticks.sum(), 0u);
 
   // Trace: a span root with the seccomp flag and EPERM — stats and trace
   // agree on the count.
-  auto snap = kernel_.syscalls().TraceSnapshot();
   size_t traced_denials = 0;
-  for (const auto& rec : snap) {
-    if (rec.nr == Sysno::kSocket && rec.seccomp_denied) {
-      EXPECT_EQ(rec.err, Errno::kEPERM);
+  for (const TraceEvent& ev : kernel_.tracer().Snapshot()) {
+    if (ev.tp == TracepointId::kSyscall && ev.a == static_cast<uint64_t>(Sysno::kSocket) &&
+        (ev.flags & kTraceFlagSeccompDenied) != 0) {
+      EXPECT_EQ(ev.code, static_cast<int>(Errno::kEPERM));
       ++traced_denials;
     }
   }
@@ -212,13 +213,13 @@ TEST_F(TracepointGateTest, SeccompKilledCallsFollowTheDocumentedSemantic) {
   // The invariant holds for permitted syscalls too.
   const SyscallGate::PerSyscall& g = kernel_.syscalls().stats(Sysno::kGetPid);
   EXPECT_EQ(g.lat_ticks.count(), g.calls - g.seccomp_denied);
-  EXPECT_NE(kernel_.syscalls().FormatTrace().find("(seccomp)"), std::string::npos);
+  EXPECT_NE(kernel_.tracer().Format().find("(seccomp)"), std::string::npos);
 }
 
 TEST_F(TracepointGateTest, CredChangeAndCapableEventsAppearUnderTheSpan) {
-  kernel_.syscalls().ClearTrace();
+  kernel_.tracer().Clear();
   ASSERT_TRUE(kernel_.Setuid(*root_, 1000).ok());
-  std::string text = kernel_.syscalls().FormatTrace();
+  std::string text = kernel_.tracer().Format();
   EXPECT_NE(text.find("setuid(1000) = 0"), std::string::npos);
   EXPECT_NE(text.find("capable CAP_SETUID -> granted"), std::string::npos);
   EXPECT_NE(text.find("cred:setuid pid="), std::string::npos);
@@ -228,7 +229,7 @@ TEST_F(TracepointGateTest, CredChangeAndCapableEventsAppearUnderTheSpan) {
 }
 
 TEST_F(TracepointGateTest, ReadFiltersSelectPidSyscallAndSpan) {
-  kernel_.syscalls().ClearTrace();
+  kernel_.tracer().Clear();
   kernel_.GetPid(*alice_);
   kernel_.GetPid(*root_);
   ASSERT_TRUE(kernel_.Open(*root_, "/tmp/f", kOWrOnly | kOCreat).ok());
@@ -239,7 +240,7 @@ TEST_F(TracepointGateTest, ReadFiltersSelectPidSyscallAndSpan) {
   auto f = ParseTraceQuery(StrFormat("?pid=%d", alice_->pid));
   ASSERT_TRUE(f.ok());
   tracer.set_read_filter(f.value());
-  std::string text = kernel_.syscalls().FormatTrace();
+  std::string text = kernel_.tracer().Format();
   EXPECT_NE(text.find(StrFormat("pid=%d", alice_->pid)), std::string::npos);
   EXPECT_EQ(text.find(StrFormat("pid=%d", root_->pid)), std::string::npos);
   EXPECT_NE(text.find("# filter:"), std::string::npos);
@@ -248,7 +249,7 @@ TEST_F(TracepointGateTest, ReadFiltersSelectPidSyscallAndSpan) {
   f = ParseTraceQuery("?syscall=open");
   ASSERT_TRUE(f.ok());
   tracer.set_read_filter(f.value());
-  text = kernel_.syscalls().FormatTrace();
+  text = kernel_.tracer().Format();
   EXPECT_NE(text.find(" open("), std::string::npos);
   EXPECT_EQ(text.find(" getpid("), std::string::npos);
 
@@ -264,7 +265,7 @@ TEST_F(TracepointGateTest, ReadFiltersSelectPidSyscallAndSpan) {
   f = ParseTraceQuery(StrFormat("?span=%llu", (unsigned long long)open_span));
   ASSERT_TRUE(f.ok());
   tracer.set_read_filter(f.value());
-  text = kernel_.syscalls().FormatTrace();
+  text = kernel_.tracer().Format();
   EXPECT_NE(text.find(" open("), std::string::npos);
   EXPECT_EQ(text.find(" getpid("), std::string::npos);
 
@@ -272,7 +273,7 @@ TEST_F(TracepointGateTest, ReadFiltersSelectPidSyscallAndSpan) {
   f = ParseTraceQuery("?");
   ASSERT_TRUE(f.ok());
   tracer.set_read_filter(f.value());
-  text = kernel_.syscalls().FormatTrace();
+  text = kernel_.tracer().Format();
   EXPECT_NE(text.find(" getpid("), std::string::npos);
   EXPECT_EQ(text.find("# filter:"), std::string::npos);
 
@@ -290,11 +291,11 @@ TEST(TracepointSimTest, DeniedMountIsExplainableFromProcTrace) {
   Kernel& kernel = sys.kernel();
   Task& alice = sys.Login("alice");
 
-  kernel.syscalls().ClearTrace();
+  kernel.tracer().Clear();
   auto denied = kernel.Mount(alice, "/dev/sda1", "/mnt", "ext4", {});
   ASSERT_EQ(denied.code(), Errno::kEPERM);
 
-  std::string text = kernel.syscalls().FormatTrace();
+  std::string text = kernel.tracer().Format();
 
   // The span root: the strace-shaped mount record producing the errno.
   size_t root_pos = text.find("mount(\"/dev/sda1\", \"/mnt\", \"ext4\") = -1 EPERM");
@@ -312,10 +313,10 @@ TEST(TracepointSimTest, DeniedMountIsExplainableFromProcTrace) {
 
   // Same mount again from the same task: the modules decide it again, and
   // the trace shows their verdicts again.
-  kernel.syscalls().ClearTrace();
+  kernel.tracer().Clear();
   auto again = kernel.Mount(alice, "/dev/sda1", "/mnt", "ext4", {});
   ASSERT_EQ(again.code(), Errno::kEPERM);
-  text = kernel.syscalls().FormatTrace();
+  text = kernel.tracer().Format();
   root_pos = text.find("mount(\"/dev/sda1\", \"/mnt\", \"ext4\") = -1 EPERM");
   ASSERT_NE(root_pos, std::string::npos) << text;
   module_pos = text.find("lsm:sb_mount module=", root_pos);
@@ -341,9 +342,9 @@ TEST(TracepointSimTest, ProcTraceWritesControlFilterAndToggle) {
   EXPECT_FALSE(kernel.vfs().WriteFile("/proc/protego/trace", "garbage").ok());
 
   ASSERT_TRUE(kernel.vfs().WriteFile("/proc/protego/trace", "off").ok());
-  EXPECT_FALSE(kernel.syscalls().trace_enabled());
+  EXPECT_FALSE(kernel.tracer().enabled());
   ASSERT_TRUE(kernel.vfs().WriteFile("/proc/protego/trace", "on").ok());
-  EXPECT_TRUE(kernel.syscalls().trace_enabled());
+  EXPECT_TRUE(kernel.tracer().enabled());
 }
 
 }  // namespace
