@@ -89,11 +89,17 @@ double TimeOnePass(Fn&& fn, int iters) {
   return static_cast<double>(t1 - t0) / iters;
 }
 
+// Median of an odd-sized sample (kReps is odd).
+double Median(std::vector<double> v) {
+  std::nth_element(v.begin(), v.begin() + v.size() / 2, v.end());
+  return v[v.size() / 2];
+}
+
 struct Row {
   std::string workload;
   std::string config;
-  double ns_per_op = 0;
-  double overhead_pct = 0;  // vs the tracing-off row of the same workload
+  double ns_per_op = 0;     // median over reps
+  double overhead_pct = 0;  // median paired overhead vs tracing-off, same rep
 };
 
 struct Check {
@@ -134,13 +140,16 @@ int main(int argc, char** argv) {
   for (const Workload& w : workloads) {
     // Interleave the configs WITHIN each rep (off, default, sampled, all-on,
     // off, default, ...) rather than measuring each config's reps back to
-    // back: clock-speed drift over the run then hits every config equally,
-    // and best-of-N reps picks each config's pass from the same fast
-    // stretches. Measured sequentially, a 5% frequency wobble reads as a 5%
-    // "overhead" on whichever config drew the slow block.
-    double best[kNumConfigs];
-    std::fill(best, best + kNumConfigs, 1e18);
+    // back, and score each config by the MEDIAN over reps of its paired
+    // per-rep overhead (t[c] - t[off]) / t[off]. A clock-speed wobble or a
+    // burst of host load then hits both sides of a pair alike and cancels;
+    // the median discards the reps where it did not. Measured sequentially,
+    // or as best-of-N per config, one lucky baseline pass reads as a 5%
+    // "overhead" on every other config.
+    std::vector<double> times[kNumConfigs];
+    std::vector<double> paired[kNumConfigs];
     for (int r = 0; r < kReps; ++r) {
+      double t[kNumConfigs];
       for (size_t c = 0; c < kNumConfigs; ++c) {
         Apply(k, kConfigs[c]);
         k.tracer().Clear();  // ring churn priced, retention equalized
@@ -150,23 +159,25 @@ int main(int argc, char** argv) {
         for (int i = 0; i < w.iters / 8; ++i) {
           w.op();
         }
-        best[c] = std::min(best[c], TimeOnePass(w.op, w.iters));
+        t[c] = TimeOnePass(w.op, w.iters);
+        times[c].push_back(t[c]);
+      }
+      for (size_t c = 0; c < kNumConfigs; ++c) {
+        paired[c].push_back((t[c] - t[0]) / t[0] * 100.0);  // kConfigs[0] is tracing-off
       }
     }
-    const double baseline = best[0];  // kConfigs[0] is tracing-off
     for (size_t c = 0; c < kNumConfigs; ++c) {
       Row row;
       row.workload = w.name;
       row.config = kConfigs[c].name;
-      row.ns_per_op = best[c];
-      row.overhead_pct =
-          baseline > 0 ? (best[c] - baseline) / baseline * 100.0 : 0;
+      row.ns_per_op = Median(times[c]);
+      row.overhead_pct = Median(paired[c]);
       rows.push_back(row);
       if (row.workload == "stat" && row.config == "default") {
         default_stat_overhead = row.overhead_pct;
       }
       std::printf("%-12s %-12s %8.2f ns/op  %+7.1f%%\n", w.name,
-                  kConfigs[c].name, best[c], row.overhead_pct);
+                  kConfigs[c].name, row.ns_per_op, row.overhead_pct);
     }
   }
   (void)sink;

@@ -1,9 +1,10 @@
 // Per-thread shards: one single-writer shard per emitting thread.
 //
-// The Tracer's event rings, the LayerProfiler's frame stacks and the syscall
-// gate's tail-exemplar reservoirs all keep state that only the owning thread
-// writes on the hot path and that readers merge across threads. This is the
-// one place that finds the calling thread's shard:
+// The Tracer's event rings and open-span stacks, the LayerProfiler's frame
+// stacks and the syscall gate's tail-exemplar reservoirs all keep state that
+// only the owning thread writes on the hot path and that readers merge
+// across threads. This is the one place that finds the calling thread's
+// shard:
 //
 //   - every ThreadShards instance takes a process-unique id, NOT its address
 //     (fleet runs create and destroy thousands of kernels, and a recycled

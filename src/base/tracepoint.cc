@@ -88,50 +88,42 @@ uint64_t Tracer::total_sampled_out() const {
   return total;
 }
 
-uint64_t Tracer::BeginSpan(int pid) {
-  std::lock_guard<std::mutex> lk(spans_mu_);
-  std::vector<OpenSpan>& stack = open_spans_[pid];
-  OpenSpan s;
-  s.id = next_span_++;
-  s.parent = stack.empty() ? 0 : stack.back().id;
-  stack.push_back(s);
-  return s.id;
+Tracer::OpenSpan Tracer::Innermost(const Shard& shard, int pid) {
+  for (auto it = shard.open.rbegin(); it != shard.open.rend(); ++it) {
+    if (it->pid == pid) {
+      return *it;
+    }
+  }
+  return OpenSpan{};
 }
 
-void Tracer::EndSpan(int pid, uint64_t span) {
-  std::lock_guard<std::mutex> lk(spans_mu_);
-  auto it = open_spans_.find(pid);
-  if (it == open_spans_.end()) {
-    return;
-  }
-  std::vector<OpenSpan>& stack = it->second;
-  if (!stack.empty() && stack.back().id == span) {
-    stack.pop_back();
-  }
-  if (stack.empty()) {
-    open_spans_.erase(it);  // reaped tasks leave no residue in the map
-  }
+uint64_t Tracer::BeginSpan(int pid) {
+  Shard& shard = shards_.Mine(capacity_);
+  uint64_t id = next_span_.fetch_add(1, std::memory_order_relaxed);
+  shard.open.push_back({id, Innermost(shard, pid).id, pid});
+  return id;
+}
+
+TraceEvent& Tracer::EndSpan(TracepointId tp) {
+  Shard& shard = shards_.Mine(capacity_);
+  OpenSpan top = shard.open.back();
+  shard.open.pop_back();
+  return Claim(shard, tp, top.pid, top);
 }
 
 TraceEvent& Tracer::Emit(TracepointId tp, int pid) {
-  uint64_t span = 0;
-  uint64_t parent = 0;
-  {
-    std::lock_guard<std::mutex> lk(spans_mu_);
-    auto it = open_spans_.find(pid);
-    if (it != open_spans_.end() && !it->second.empty()) {
-      span = it->second.back().id;
-      parent = it->second.back().parent;
-    }
-  }
   Shard& shard = shards_.Mine(capacity_);
+  return Claim(shard, tp, pid, Innermost(shard, pid));
+}
+
+TraceEvent& Tracer::Claim(Shard& shard, TracepointId tp, int pid, const OpenSpan& span) {
   uint64_t emitted = shard.emitted.load(std::memory_order_relaxed);
   TraceEvent& ev = shard.ring[emitted % capacity_];
   shard.emitted.store(emitted + 1, std::memory_order_relaxed);
   ev.seq = seq_.fetch_add(1, std::memory_order_relaxed);
   ev.tick = clock_->Now();
-  ev.span = span;
-  ev.parent = parent;
+  ev.span = span.id;
+  ev.parent = span.parent;
   ev.tp = tp;
   ev.pid = pid;
   ev.code = 0;
@@ -143,26 +135,6 @@ TraceEvent& Tracer::Emit(TracepointId tp, int pid) {
   ev.svalue = "";
   ev.comm.clear();
   ev.detail.clear();
-  return ev;
-}
-
-TraceEvent& Tracer::EmitSpanRoot(TracepointId tp, int pid, uint64_t span) {
-  TraceEvent& ev = Emit(tp, pid);
-  ev.span = span;
-  ev.parent = 0;
-  // The span is normally still open (roots are emitted at syscall exit,
-  // just before EndSpan), so its parent is on `pid`'s open stack.
-  std::lock_guard<std::mutex> lk(spans_mu_);
-  auto sit = open_spans_.find(pid);
-  if (sit != open_spans_.end()) {
-    const std::vector<OpenSpan>& stack = sit->second;
-    for (auto it = stack.rbegin(); it != stack.rend(); ++it) {
-      if (it->id == span) {
-        ev.parent = it->parent;
-        break;
-      }
-    }
-  }
   return ev;
 }
 

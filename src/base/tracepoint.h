@@ -14,10 +14,10 @@
 // under their root, producing the full allow/deny derivation tree for one
 // call: the strace line plus the hook verdicts underneath it.
 //
-// Parallel mode: the ring is sharded per emitting thread (ftrace's per-CPU
-// buffers). Each shard has exactly one writer — the thread that owns it — so
-// the emission path takes no lock; a global atomic sequence counter gives
-// events a total order and Snapshot() merge-sorts the shards by it. Read
+// Parallel mode: the ring and the span stack are sharded per emitting thread
+// (ftrace's per-CPU buffers). Each shard has exactly one writer — the thread
+// that owns it — so spans and emission take no lock; a global atomic sequence
+// counter gives events a total order and Snapshot() merge-sorts by it. Read
 // operations (Snapshot/Format/Clear) expect emitters to be quiescent, which
 // every caller guarantees by joining task threads first; the per-shard
 // emitted counters are atomic so concurrent metric reads stay clean.
@@ -35,9 +35,7 @@
 
 #include <atomic>
 #include <cstdint>
-#include <mutex>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "src/base/clock.h"
@@ -226,19 +224,17 @@ class Tracer {
 
   // --- Decision spans --------------------------------------------------------
   //
-  // Span stacks are per-pid: under the deterministic scheduler two tasks'
-  // syscalls interleave at yield points, and a single global stack would
-  // nest task B's span under whatever task A still has open. Keying the
-  // stack by pid keeps each derivation tree attached to the task that
-  // produced it regardless of the schedule. In parallel mode the pid keying
-  // doubles as thread keying (one task = one thread); the map itself is
-  // mutex-guarded.
+  // Each thread's open spans live on its shard, tagged with their pid. A
+  // span's parent, and an event's span, is the innermost open span of the
+  // SAME pid on the calling thread: a synchronous Spawn runs the child's
+  // execve on the parent's thread under the child's pid, and that execve
+  // must stay a top-level tree. Spans nest strictly on their thread.
 
   // Opens a span nested inside `pid`'s current one; returns its id (never 0).
   uint64_t BeginSpan(int pid);
-  // Closes `span`. Tolerates mismatched ids (pops only if it is innermost
-  // for `pid`).
-  void EndSpan(int pid, uint64_t span);
+  // Closes this thread's innermost span: emits its root event `tp` (stamped
+  // with the span, its parent and its pid) for the caller to fill, and pops.
+  TraceEvent& EndSpan(TracepointId tp);
 
   // --- Emission --------------------------------------------------------------
 
@@ -247,11 +243,6 @@ class Tracer {
   // rest; the slot has a single writer (this thread), so filling it after
   // return is race-free. Callers MUST gate on Enabled(tp) themselves.
   TraceEvent& Emit(TracepointId tp, int pid);
-
-  // Emission variant for span roots (syscall exit): the event is stamped
-  // with `span` itself (not the innermost open span) and with that span's
-  // parent, so nested syscalls chain correctly.
-  TraceEvent& EmitSpanRoot(TracepointId tp, int pid, uint64_t span);
 
   // --- Read side -------------------------------------------------------------
   //
@@ -283,6 +274,7 @@ class Tracer {
   struct OpenSpan {
     uint64_t id = 0;
     uint64_t parent = 0;
+    int pid = 0;
   };
 
   // One per-thread ring, sized at construction. `emitted` counts events
@@ -295,9 +287,13 @@ class Tracer {
     explicit Shard(size_t capacity) : ring(capacity) {}
     std::vector<TraceEvent> ring;
     std::atomic<uint64_t> emitted{0};
+    std::vector<OpenSpan> open;  // this thread's span stack, innermost last
     uint64_t sample_state = 0;
     uint64_t sample_key = 0;  // sampling generation the state was seeded for
   };
+
+  static OpenSpan Innermost(const Shard& shard, int pid);  // {} if none open
+  TraceEvent& Claim(Shard& shard, TracepointId tp, int pid, const OpenSpan& span);
 
   void BumpConfigGen() { config_gen_.fetch_add(1, std::memory_order_relaxed); }
 
@@ -313,9 +309,7 @@ class Tracer {
   std::atomic<uint64_t> sampled_out_[kTracepointCount] = {};
   std::atomic<uint64_t> seq_{0};  // next global sequence number
   ThreadShards<Shard> shards_;
-  mutable std::mutex spans_mu_;  // guards open_spans_ and next_span_
-  uint64_t next_span_ = 1;       // span ids survive Clear() (spans may be open)
-  std::unordered_map<int, std::vector<OpenSpan>> open_spans_;  // keyed by pid
+  std::atomic<uint64_t> next_span_{1};  // survives Clear() (spans may be open)
   TraceFilter read_filter_;
 };
 

@@ -85,6 +85,7 @@ void DetScheduler::ThreadMain(Unit* unit) {
       unit->finished = true;  // destroyed before ever being scheduled
       return;
     }
+    EmitSwitchIn(unit);
   }
   tls_scheduler = this;
   tls_pid = unit->pid;
@@ -170,14 +171,23 @@ DetScheduler::Unit* DetScheduler::ChooseNext(Unit* self, bool self_runnable) {
 void DetScheduler::Activate(Unit* next, int from_pid) {
   ++steps_;
   if (tracer_ != nullptr && tracer_->ShouldEmit(TracepointId::kContextSwitch)) {
-    TraceEvent& ev = tracer_->Emit(TracepointId::kContextSwitch, next->pid);
-    ev.comm = SchedModeName(mode_);
-    ev.a = steps_;
-    ev.code = from_pid;
+    next->switch_step = steps_;
+    next->switch_from = from_pid;
   }
   current_pid_ = next->pid;
   next->active = true;
   next->cv.notify_one();
+}
+
+void DetScheduler::EmitSwitchIn(Unit* self) {
+  if (self->switch_step == 0) {
+    return;
+  }
+  TraceEvent& ev = tracer_->Emit(TracepointId::kContextSwitch, self->pid);
+  ev.comm = SchedModeName(mode_);
+  ev.a = self->switch_step;
+  ev.code = self->switch_from;
+  self->switch_step = 0;
 }
 
 void DetScheduler::OnSyscallEntry(int /*pid*/, Sysno /*nr*/) {
@@ -205,6 +215,7 @@ void DetScheduler::OnSyscallEntry(int /*pid*/, Sysno /*nr*/) {
   self->active = false;
   Activate(next, self->pid);
   self->cv.wait(lk, [&] { return self->active; });
+  EmitSwitchIn(self);
 }
 
 bool DetScheduler::WaitOn(int /*pid*/, uint64_t resource) {
@@ -267,6 +278,7 @@ bool DetScheduler::WaitOn(int /*pid*/, uint64_t resource) {
   self->active = false;
   Activate(next, self->pid);
   self->cv.wait(lk, [&] { return self->active; });
+  EmitSwitchIn(self);
   return true;
 }
 

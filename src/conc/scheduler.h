@@ -125,6 +125,10 @@ class DetScheduler : public TaskScheduler {
     // Signal or fresh syscall arrives — this breaks the wake/re-block
     // livelock between two mutually-deadlocked units.
     bool spurious = false;
+    // Pending kContextSwitch for this unit's activation (step 0 = none),
+    // emitted by its own thread on resume so its open spans stamp it.
+    uint64_t switch_step = 0;
+    int switch_from = 0;
   };
 
   void ThreadMain(Unit* unit);
@@ -133,8 +137,10 @@ class DetScheduler : public TaskScheduler {
   // Returns nullptr when nothing is runnable. Caller holds mu_.
   Unit* ChooseNext(Unit* self, bool self_runnable);
   // Hands the token to `next` (caller holds mu_; caller must then wait on
-  // its own cv or return to the pool).
+  // its own cv or return to the pool). The switch event's sampling draw
+  // happens here; the resumed unit emits it (EmitSwitchIn, holding mu_).
   void Activate(Unit* next, int from_pid);
+  void EmitSwitchIn(Unit* self);
   // Called by a finishing unit (holding mu_): pass the token on, or wake
   // stuck waiters, or declare the run complete.
   void FinishHandoff(Unit* self);

@@ -224,6 +224,14 @@ Result<SeccompFilter> SeccompFilter::FromSpec(const Spec& spec) {
   return f;
 }
 
+bool SeccompFilter::InPathClass(std::string_view path, std::string_view cls) {
+  if (!path.starts_with(cls)) {
+    return false;
+  }
+  return path.size() == cls.size() || (!cls.empty() && cls.back() == '/') ||
+         path[cls.size()] == '/';
+}
+
 uint64_t SeccompFilter::PathClassOf(const SyscallArgs& args) const {
   if (args.path == nullptr) {
     return 0;
@@ -237,7 +245,7 @@ uint64_t SeccompFilter::PathClassOf(const SyscallArgs& args) const {
     path = canonical;
   }
   for (const auto& [prefix, id] : path_classes_) {
-    if (path.compare(0, prefix.size(), prefix) == 0) {
+    if (InPathClass(path, prefix)) {
       return id;
     }
   }
@@ -699,31 +707,26 @@ void SyscallGate::RecordDenial(SyscallContext& ctx) {
 
 void SyscallGate::RecordTrace(SyscallContext& ctx, Errno err, uint64_t dur_ns,
                               bool seccomp_denied) {
-  if (tracer_ == nullptr) {
-    return;
+  if (tracer_ == nullptr || (ctx.dispatch & kDispatchTrace) == 0) {
+    return;  // untraced: no span was opened
   }
-  if ((ctx.dispatch & kDispatchTrace) != 0) {
-    TraceEvent& ev = tracer_->EmitSpanRoot(TracepointId::kSyscall, ctx.pid, ctx.span);
-    ev.a = static_cast<uint64_t>(ctx.nr);
-    ev.code = static_cast<int>(err);
-    ev.dur = dur_ns;
-    ev.tick = ctx.start_tick;
-    ev.sname = SysnoName(ctx.nr);
-    if (seccomp_denied) {
-      ev.flags |= kTraceFlagSeccompDenied | kTraceFlagDenied;
-    } else if (err != Errno::kOk) {
-      ev.flags |= kTraceFlagDenied;
-    }
-    if (ctx.comm != nullptr) {
-      ev.comm.assign(*ctx.comm);  // reuses the slot's capacity
-    } else {
-      ev.comm.assign("?");
-    }
-    ev.detail = std::move(ctx.args);
+  TraceEvent& ev = tracer_->EndSpan(TracepointId::kSyscall);
+  ev.a = static_cast<uint64_t>(ctx.nr);
+  ev.code = static_cast<int>(err);
+  ev.dur = dur_ns;
+  ev.tick = ctx.start_tick;
+  ev.sname = SysnoName(ctx.nr);
+  if (seccomp_denied) {
+    ev.flags |= kTraceFlagSeccompDenied | kTraceFlagDenied;
+  } else if (err != Errno::kOk) {
+    ev.flags |= kTraceFlagDenied;
   }
-  if (ctx.span != 0) {
-    tracer_->EndSpan(ctx.pid, ctx.span);
+  if (ctx.comm != nullptr) {
+    ev.comm.assign(*ctx.comm);  // reuses the slot's capacity
+  } else {
+    ev.comm.assign("?");
   }
+  ev.detail = std::move(ctx.args);
 }
 
 void SyscallGate::RecordExemplar(Sysno nr, uint64_t dur_ticks, uint64_t dur_ns,

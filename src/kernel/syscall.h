@@ -240,6 +240,10 @@ class SeccompFilter {
   // '#' starts a comment; values accept decimal or 0x-hex.
   static Result<Spec> ParseSpec(std::string_view text);
 
+  // Is canonical `path` in class `cls`? Matches on a component boundary:
+  // class "/tmp" (or "/tmp/") admits "/tmp/x", never "/tmpfoo".
+  static bool InPathClass(std::string_view path, std::string_view cls);
+
   // Number-only check (ignores argument rules): is the syscall admissible
   // for at least some arguments?
   bool Allows(Sysno nr) const { return allowed_[static_cast<size_t>(nr)]; }
@@ -277,8 +281,8 @@ class SeccompFilter {
 
  private:
   bool EvalRules(uint16_t nr, const SyscallArgs& args, uint32_t* rule_evals) const;
-  // Longest-prefix match of the call's canonical path argument against
-  // the class table; 0 when there is no path or no prefix matches.
+  // Longest InPathClass match of the call's canonical path argument against
+  // the class table; 0 when there is no path or no class matches.
   uint64_t PathClassOf(const SyscallArgs& args) const;
 
   std::bitset<kSysnoSlots> allowed_;
@@ -395,7 +399,7 @@ class SyscallGate {
   // unchanged; /proc/protego/trace "?syscalls=mount,execve" narrows the
   // traced set to the control-plane calls the operator cares about, which
   // is what makes "always-on" affordable: untraced syscalls resolve a
-  // dispatch word with the trace bit clear and never touch the span map.
+  // dispatch word with the trace bit clear and open no span.
 
   bool syscall_traced(Sysno nr) const {
     std::lock_guard<std::mutex> lk(dispatch_mu_);
@@ -524,7 +528,7 @@ class SyscallGate {
   // refuses the syscall — the caller must fail with EPERM without touching
   // DAC or the LSM stack. ctx.dispatch must already be resolved
   // (ResolveDispatch) — span bookkeeping keys off the trace bit, so calls
-  // whose dispatch word says "no trace" never touch the span map.
+  // whose dispatch word says "no trace" open no span.
   template <typename TaskT>
   bool EnterSyscall(SyscallContext& ctx, const TaskT& task, Sysno nr,
                     const SyscallArgs& sargs) {
@@ -741,8 +745,7 @@ class SyscallGate {
   }
 
   void RecordDenial(SyscallContext& ctx);
-  // Emits the span-root event for the completed call (consumes ctx.args)
-  // and closes the span.
+  // Closes the call's span, emitting its root event (consumes ctx.args).
   void RecordTrace(SyscallContext& ctx, Errno err, uint64_t dur_ns, bool seccomp_denied);
   // Offers one completed call to the calling thread's tail reservoir.
   void RecordExemplar(Sysno nr, uint64_t dur_ticks, uint64_t dur_ns, uint64_t span,

@@ -234,7 +234,7 @@ UtilityFilter SynthesizeFilter(const std::string& exe,
     uint64_t best = 0;
     size_t best_len = 0;
     for (const auto& [prefix, id] : class_of) {
-      if (prefix.size() >= best_len && path.compare(0, prefix.size(), prefix) == 0) {
+      if (prefix.size() >= best_len && SeccompFilter::InPathClass(path, prefix)) {
         best = id;
         best_len = prefix.size();
       }

@@ -9,7 +9,9 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdlib>
+#include <map>
 #include <memory>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -399,6 +401,72 @@ TEST(ParallelAudit, AppArmorDenialsLandInTheAuditRingUnderRealThreads) {
     }
   }
   EXPECT_EQ(apparmor_lines, std::min<uint64_t>(denials, k.audit_ring().capacity()));
+}
+
+// --- Decision spans under real threads --------------------------------------
+
+// Each thread keeps its own open-span stack, so concurrent tasks must never
+// see one another's spans: every retained child event hangs under a root of
+// its own pid, no root nests under another pid's span, and span ids are
+// unique across threads. Several rounds (join, check, clear) widen what the
+// bounded ring lets the checks see. Under -fsanitize=thread this is the race
+// audit of span bookkeeping and emission.
+TEST(ParallelTrace, SpansStayWithTheirPidUnderRealThreads) {
+  constexpr int kThreads = 4;
+  constexpr int kRounds = 4;
+  constexpr int kCallsPerRound = 250;  // x2 (allowed + denied) per thread
+  std::unique_ptr<Kernel> kernel = BootBareKernel();
+  Kernel& k = *kernel;
+  (void)k.vfs().CreateFile("/tmp/secret", 0600, kRootUid, kRootGid, "s");
+  std::vector<Task*> tasks;
+  for (int t = 0; t < kThreads; ++t) {
+    tasks.push_back(&k.CreateTask("tracer" + std::to_string(t),
+                                  Cred::ForUser(1000 + t, 1000 + t), nullptr));
+  }
+
+  std::set<uint64_t> root_spans;
+  std::atomic<int> refused{0};
+  for (int round = 0; round < kRounds; ++round) {
+    k.tracer().Clear();
+    ThreadScheduler sched;
+    k.set_scheduler(&sched);
+    for (Task* task : tasks) {
+      sched.StartTask(task->pid, [&k, task, &refused] {
+        for (int i = 0; i < kCallsPerRound; ++i) {
+          (void)k.Stat(*task, "/tmp");
+          if (k.Open(*task, "/tmp/secret", kORdOnly).code() == Errno::kEACCES) {
+            refused.fetch_add(1, std::memory_order_relaxed);
+          }
+        }
+      });
+    }
+    sched.Join();
+    k.set_scheduler(nullptr);
+
+    const std::vector<TraceEvent> events = k.tracer().Snapshot();
+    std::map<uint64_t, int> root_pid;  // retained root span -> its pid
+    for (const TraceEvent& ev : events) {
+      if (ev.tp == TracepointId::kSyscall) {
+        EXPECT_TRUE(root_spans.insert(ev.span).second) << "span " << ev.span << " reissued";
+        EXPECT_EQ(ev.parent, 0u) << "no syscall here nests inside another";
+        root_pid[ev.span] = ev.pid;
+      }
+    }
+    size_t children = 0;
+    for (const TraceEvent& ev : events) {
+      const uint64_t under = ev.tp == TracepointId::kSyscall ? ev.parent : ev.span;
+      auto it = root_pid.find(under);
+      if (under == 0 || it == root_pid.end()) {
+        continue;
+      }
+      EXPECT_EQ(it->second, ev.pid) << "event seq " << ev.seq << " of pid " << ev.pid
+                                    << " stamped with span " << under << " of pid "
+                                    << it->second;
+      children += ev.tp == TracepointId::kSyscall ? 0 : 1;
+    }
+    EXPECT_GT(children, 0u);
+  }
+  EXPECT_EQ(refused.load(), kThreads * kRounds * kCallsPerRound);
 }
 
 // --- Stale-generation regression ---------------------------------------------

@@ -286,6 +286,22 @@ TEST_F(SyscallGateTest, DotDotCannotEscapeAPathClass) {
   EXPECT_TRUE(kernel_.Open(alice, "sub/../x", kOWrOnly | kOCreat).ok());
 }
 
+// Regression: a class used to be a raw string prefix, so the /tmp class
+// admitted "/tmpfoo" and the exact class /etc/motd admitted
+// "/etc/motd.evil". A class matches only on a path-component boundary.
+TEST_F(SyscallGateTest, PathClassMatchesOnAComponentBoundary) {
+  (void)kernel_.vfs().CreateFile("/etc/motd", 0644, kRootUid, kRootGid, "hi");
+  (void)kernel_.vfs().CreateFile("/etc/motd.evil", 0644, kRootUid, kRootGid, "x");
+  Task& alice = User(1000);
+  ASSERT_TRUE(kernel_.SeccompSetFilterSpec(alice, PredicateSpec()).ok());
+  int spy_before = spy_->inode_permission_calls;
+  EXPECT_EQ(kernel_.Open(alice, "/tmpfoo", kOWrOnly | kOCreat).code(), Errno::kEPERM);
+  EXPECT_EQ(kernel_.Open(alice, "/etc/motd.evil", kORdOnly).code(), Errno::kEPERM);
+  EXPECT_EQ(spy_->inode_permission_calls.load(), spy_before);
+  EXPECT_TRUE(kernel_.Open(alice, "/tmp/x", kOWrOnly | kOCreat).ok());
+  EXPECT_TRUE(kernel_.Open(alice, "/etc/motd", kORdOnly).ok());
+}
+
 TEST_F(SyscallGateTest, PredicateLatchTightensAndNeverWidens) {
   Task& alice = User(1000);
   ASSERT_TRUE(kernel_.SeccompSetFilterSpec(alice, PredicateSpec()).ok());

@@ -7,11 +7,13 @@
 
 #include "gtest/gtest.h"
 #include "src/base/strings.h"
+#include "src/conc/scheduler.h"
 #include "src/kernel/kernel.h"
 #include "src/lsm/capability_module.h"
 #include "src/net/netfilter.h"
 #include "src/protego/proc_iface.h"
 #include "src/sim/system.h"
+#include "src/study/races.h"
 
 namespace protego {
 namespace {
@@ -60,10 +62,9 @@ TEST(TracerTest, SpanTreeSurvivesRingWrap) {
     ev.sdetail = "protego";
     ev.svalue = "deny";
   }
-  TraceEvent& root = tracer.EmitSpanRoot(TracepointId::kSyscall, 7, span);
+  TraceEvent& root = tracer.EndSpan(TracepointId::kSyscall);
   root.sname = "mount";
   root.code = static_cast<int>(Errno::kEPERM);
-  tracer.EndSpan(7, span);
 
   auto snap = tracer.Snapshot();
   ASSERT_EQ(snap.size(), 4u);
@@ -87,7 +88,7 @@ TEST(TracerTest, SpanTreeSurvivesRingWrap) {
 TEST(TracerTest, EventsOfStillOpenSpanRenderAsOrphans) {
   Clock clock;
   Tracer tracer(&clock, 8);
-  uint64_t span = tracer.BeginSpan(3);
+  tracer.BeginSpan(3);
   TraceEvent& ev = tracer.Emit(TracepointId::kCapable, 3);
   ev.sname = "CAP_SYS_ADMIN";
   // Span never rooted (as when /proc/protego/trace is read from inside the
@@ -95,7 +96,6 @@ TEST(TracerTest, EventsOfStillOpenSpanRenderAsOrphans) {
   std::string text = tracer.Format();
   EXPECT_NE(text.find("capable CAP_SYS_ADMIN -> denied"), std::string::npos);
   EXPECT_NE(text.find("[orphan span="), std::string::npos);
-  tracer.EndSpan(3, span);
 }
 
 TEST(TracerTest, EnableBitsGateEmission) {
@@ -324,6 +324,154 @@ TEST(TracepointSimTest, DeniedMountIsExplainableFromProcTrace) {
   ASSERT_NE(module_pos, std::string::npos) << text;
   ASSERT_NE(decision_pos, std::string::npos) << text;
   EXPECT_LT(module_pos, decision_pos);
+}
+
+// --- Trace-tree shape: spans follow the pid that opened them ---------------
+
+// Format() output as lines; a line's tree depth is its indent / 2.
+std::vector<std::string> TraceLines(const Tracer& tracer) {
+  std::vector<std::string> lines = Split(tracer.Format(), '\n');
+  if (!lines.empty() && lines.back().empty()) {
+    lines.pop_back();
+  }
+  return lines;
+}
+
+size_t Depth(const std::string& line) {
+  return line.find_first_not_of(' ') / 2;
+}
+
+// Index of the first line at or after `from` containing `needle`, or
+// lines.size().
+size_t FindLine(const std::vector<std::string>& lines, size_t from, std::string_view needle) {
+  for (size_t i = from; i < lines.size(); ++i) {
+    if (lines[i].find(needle) != std::string::npos) {
+      return i;
+    }
+  }
+  return lines.size();
+}
+
+// A synchronous Spawn runs the child's execve on the parent's thread under
+// the child's pid. That execve is a tree of its own: it must not nest under
+// the parent's spawn span, or ?syscall=execve (which selects top-level
+// roots) would lose the whole derivation, the faulted mount(2) included.
+TEST(TracepointSimTest, SpawnedExecveIsATopLevelTreeWithTheFaultedMountInside) {
+  SimSystem sys(SimMode::kProtego);
+  Kernel& k = sys.kernel();
+  Task& root = sys.Login("root");
+  Task& alice = sys.Login("alice");
+  ASSERT_TRUE(k.WriteWholeFile(root, "/proc/protego/fault_inject",
+                               "site=lsm_hook error=EIO hook=sb_mount times=1\n")
+                  .ok());
+  k.tracer().Clear();
+  auto out = sys.RunCapture(alice, "/bin/mount", {"mount", "/dev/cdrom"});
+  ASSERT_NE(out.exit_code, 0);
+
+  int execve_pid = -1;
+  for (const TraceEvent& ev : k.tracer().Snapshot()) {
+    if (ev.tp == TracepointId::kSyscall && std::string_view(ev.sname) == "execve") {
+      EXPECT_EQ(ev.parent, 0u);
+      execve_pid = ev.pid;
+    }
+  }
+  ASSERT_NE(execve_pid, -1);
+  EXPECT_NE(execve_pid, alice.pid);
+
+  k.tracer().set_read_filter(ParseTraceQuery("?syscall=execve").value());
+  std::vector<std::string> lines = TraceLines(k.tracer());
+  ASSERT_FALSE(lines.empty());
+  EXPECT_EQ(Depth(lines[0]), 0u);
+  EXPECT_NE(lines[0].find(StrFormat("pid=%d mount execve(/bin/mount) = 0", execve_pid)),
+            std::string::npos)
+      << lines[0];
+  size_t mount = FindLine(lines, 1, "mount(\"/dev/cdrom\", \"/media/cdrom\", \"iso9660\") = -1 EPERM");
+  ASSERT_LT(mount, lines.size()) << k.tracer().Format();
+  EXPECT_EQ(Depth(lines[mount]), 1u);
+  size_t fault = FindLine(lines, mount, "fault:lsm_hook inject=EIO");
+  ASSERT_LT(fault, lines.size()) << k.tracer().Format();
+  EXPECT_EQ(fault, mount + 1);
+  EXPECT_EQ(Depth(lines[fault]), 2u);
+}
+
+// Under the deterministic scheduler a context switch is stamped with the
+// RESUMED task's innermost open span: the switch back into the TOCTOU
+// victim lands inside its execve tree, between the stat(2) check and the
+// open(2) use it interrupted.
+TEST(TracepointSimTest, SwitchBackIntoTheVictimNestsBetweenItsStatAndOpen) {
+  auto run = MakeTocttouScenario(SimMode::kProtego, TocttouVariant::kStatThenOpen)();
+  Tracer& tracer = run->kernel().tracer();
+  conc::DetScheduler sched(&tracer);
+  sched.set_mode(conc::SchedMode::kFixed);
+  sched.set_choices({0, 0, 0, 1, 1, 1});  // the swap lands inside the window
+  run->kernel().set_scheduler(&sched);
+  tracer.Clear();
+  run->RegisterTasks(sched);
+  sched.Run();
+  run->kernel().set_scheduler(nullptr);
+  (void)run->CheckInvariant();  // reaps the children
+
+  int victim = -1;
+  for (const TraceEvent& ev : tracer.Snapshot()) {
+    if (ev.tp == TracepointId::kSyscall && ev.comm == "filereport") {
+      victim = ev.pid;
+    }
+  }
+  ASSERT_NE(victim, -1);
+  std::vector<std::string> lines = TraceLines(tracer);
+  size_t execve = FindLine(lines, 0, "filereport execve(/usr/bin/filereport) = 0");
+  ASSERT_LT(execve, lines.size()) << tracer.Format();
+  EXPECT_EQ(Depth(lines[execve]), 0u);
+  size_t stat = FindLine(lines, execve, "filereport stat(/tmp/job) = 0");
+  size_t open = FindLine(lines, execve, "filereport open(\"/tmp/job\"");
+  ASSERT_LT(open, lines.size()) << tracer.Format();
+  ASSERT_EQ(open, stat + 2) << tracer.Format();
+  EXPECT_EQ(Depth(lines[stat]), 1u);
+  EXPECT_EQ(Depth(lines[open]), 1u);
+  const std::string& sw = lines[stat + 1];
+  EXPECT_EQ(Depth(sw), 1u) << sw;
+  EXPECT_NE(sw.find("sched:switch"), std::string::npos) << sw;
+  EXPECT_NE(sw.find(StrFormat("->%d fixed", victim)), std::string::npos) << sw;
+}
+
+// Netfilter verdicts and mount-table changes are emitted with pid 0: they
+// belong to no task's span, so they render standalone even when the
+// syscall that caused them is traced.
+TEST(TracepointSimTest, PidZeroEventsRenderStandalone) {
+  SimSystem sys(SimMode::kProtego);
+  Kernel& k = sys.kernel();
+  Task& root = sys.Login("root");
+  Task& alice = sys.Login("alice");
+  int fd = k.SocketCall(alice, kAfInet, kSockDgram, 0).value();
+  k.tracer().Clear();
+  ASSERT_TRUE(k.Mount(root, "/dev/cdrom", "/media/cdrom", "iso9660", {}).ok());
+  Packet p;
+  p.l4_proto = kProtoUdp;
+  p.dst_ip = kLocalhostIp;
+  p.dst_port = 7777;
+  (void)k.SendCall(alice, fd, p);
+
+  size_t pid_zero = 0;
+  for (const TraceEvent& ev : k.tracer().Snapshot()) {
+    if (ev.tp == TracepointId::kVfsMount || ev.tp == TracepointId::kNetfilter) {
+      EXPECT_EQ(ev.pid, 0);
+      EXPECT_EQ(ev.span, 0u);
+      ++pid_zero;
+    }
+  }
+  EXPECT_GE(pid_zero, 2u);
+  std::vector<std::string> lines = TraceLines(k.tracer());
+  size_t attach = FindLine(lines, 0, "vfs:mount /dev/cdrom on /media/cdrom");
+  size_t verdict = FindLine(lines, 0, "netfilter chain=OUTPUT -> ACCEPT");
+  ASSERT_LT(attach, lines.size()) << k.tracer().Format();
+  ASSERT_LT(verdict, lines.size()) << k.tracer().Format();
+  EXPECT_EQ(Depth(lines[attach]), 0u);
+  EXPECT_EQ(Depth(lines[verdict]), 0u);
+  EXPECT_EQ(lines[attach].find("[orphan"), std::string::npos);
+  EXPECT_EQ(lines[verdict].find("[orphan"), std::string::npos);
+  // The syscalls themselves are still traced roots.
+  EXPECT_LT(FindLine(lines, 0, "mount(\"/dev/cdrom\""), lines.size());
+  EXPECT_LT(FindLine(lines, 0, " sendto("), lines.size()) << k.tracer().Format();
 }
 
 // Proc-level plumbing for the trace control file.
