@@ -121,9 +121,10 @@ class Netfilter {
   // Rule edits (the iptables control path) take rules_mu_ unique; Evaluate
   // walks the chain under a shared lock, so packet evaluation from many
   // task threads proceeds concurrently. The port-owner callback runs with
-  // the shared lock held — it re-enters Network, whose recursive lock the
-  // calling Send() already owns; Network never calls back into rule edits,
-  // so the order Network::mu_ -> rules_mu_ is acyclic.
+  // the shared lock held — it reads Network's port table under the
+  // Network::mu_ the calling Send() already holds, without re-locking it;
+  // Network never calls back into rule edits, so the order Network::mu_ ->
+  // rules_mu_ is acyclic.
   mutable std::shared_mutex rules_mu_;
   std::vector<NfRule> rules_;
   PortOwnerFn port_owner_;

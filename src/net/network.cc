@@ -5,8 +5,10 @@
 namespace protego {
 
 Network::Network() {
+  // Netfilter evaluates only inside Send and DeliverLocal, which hold mu_,
+  // so the spoofed-source match reads the port table without locking.
   netfilter_.set_port_owner_fn(
-      [this](int proto, uint16_t port) { return PortOwner(proto, port); });
+      [this](int proto, uint16_t port) { return PortOwnerLocked(proto, port, 0); });
   // Loopback is always routable.
   (void)routes_.Add(RouteEntry{MakeIp(127, 0, 0, 0), 8, 0, "lo", kRootUid});
   local_addrs_.push_back(kLocalhostIp);
@@ -14,7 +16,7 @@ Network::Network() {
 
 Socket& Network::CreateSocket(int family, int type, int protocol, Uid owner,
                               const std::string& owner_binary, int netns) {
-  std::lock_guard<std::recursive_mutex> lk(mu_);
+  std::lock_guard<RwLock> lk(mu_);
   auto sock = std::make_unique<Socket>();
   sock->id = next_socket_id_++;
   sock->family = family;
@@ -29,34 +31,38 @@ Socket& Network::CreateSocket(int family, int type, int protocol, Uid owner,
 }
 
 Socket* Network::FindSocket(int id) {
-  std::lock_guard<std::recursive_mutex> lk(mu_);
+  std::shared_lock<RwLock> lk(mu_);
+  return FindSocketLocked(id);
+}
+
+Socket* Network::FindSocketLocked(int id) const {
   auto it = sockets_.find(id);
   return it == sockets_.end() ? nullptr : it->second.get();
 }
 
 void Network::RefSocket(int id) {
-  std::lock_guard<std::recursive_mutex> lk(mu_);
-  Socket* sock = FindSocket(id);
+  std::lock_guard<RwLock> lk(mu_);
+  Socket* sock = FindSocketLocked(id);
   if (sock != nullptr) {
     ++sock->refcount;
   }
 }
 
 void Network::DestroySocket(int id) {
-  std::lock_guard<std::recursive_mutex> lk(mu_);
-  Socket* sock = FindSocket(id);
+  std::lock_guard<RwLock> lk(mu_);
+  Socket* sock = FindSocketLocked(id);
   if (sock != nullptr && --sock->refcount <= 0) {
     sockets_.erase(id);
   }
 }
 
 Result<Unit> Network::Bind(Socket& sock, uint16_t port) {
-  std::lock_guard<std::recursive_mutex> lk(mu_);
+  std::lock_guard<RwLock> lk(mu_);
   if (port == 0) {
     return Error(Errno::kEINVAL, "bind to port 0");
   }
   int proto = sock.type == kSockStream ? kProtoTcp : kProtoUdp;
-  if (PortOwner(proto, port, sock.netns).has_value()) {
+  if (PortOwnerLocked(proto, port, sock.netns).has_value()) {
     return Error(Errno::kEADDRINUSE);
   }
   sock.bound_port = port;
@@ -64,7 +70,7 @@ Result<Unit> Network::Bind(Socket& sock, uint16_t port) {
 }
 
 Result<Unit> Network::Listen(Socket& sock) {
-  std::lock_guard<std::recursive_mutex> lk(mu_);
+  std::lock_guard<RwLock> lk(mu_);
   if (sock.type != kSockStream) {
     return Error(Errno::kEOPNOTSUPP);
   }
@@ -76,7 +82,11 @@ Result<Unit> Network::Listen(Socket& sock) {
 }
 
 std::optional<Uid> Network::PortOwner(int proto, uint16_t port, int netns) const {
-  std::lock_guard<std::recursive_mutex> lk(mu_);
+  std::shared_lock<RwLock> lk(mu_);
+  return PortOwnerLocked(proto, port, netns);
+}
+
+std::optional<Uid> Network::PortOwnerLocked(int proto, uint16_t port, int netns) const {
   for (const auto& [id, sock] : sockets_) {
     int sock_proto = sock->type == kSockStream ? kProtoTcp : kProtoUdp;
     if (sock->netns == netns && sock->bound_port == port && sock_proto == proto &&
@@ -88,15 +98,15 @@ std::optional<Uid> Network::PortOwner(int proto, uint16_t port, int netns) const
 }
 
 Result<Unit> Network::Connect(Socket& sock, Ipv4 dst, uint16_t port) {
-  std::lock_guard<std::recursive_mutex> lk(mu_);
+  std::lock_guard<RwLock> lk(mu_);
   if (sock.type != kSockStream) {
     return Error(Errno::kEOPNOTSUPP);
   }
-  if (!IsLocalAddress(dst)) {
+  if (!IsLocalAddressLocked(dst)) {
     if (!routes_.Lookup(dst).has_value()) {
       return Error(Errno::kENETUNREACH, IpToString(dst));
     }
-    const RemoteHost* host = FindHost(dst);
+    const RemoteHost* host = FindHostLocked(dst);
     if (host == nullptr) {
       return Error(Errno::kEHOSTUNREACH, IpToString(dst));
     }
@@ -124,17 +134,25 @@ Result<Unit> Network::Connect(Socket& sock, Ipv4 dst, uint16_t port) {
 }
 
 bool Network::IsLocalAddress(Ipv4 ip) const {
-  std::lock_guard<std::recursive_mutex> lk(mu_);
+  std::shared_lock<RwLock> lk(mu_);
+  return IsLocalAddressLocked(ip);
+}
+
+bool Network::IsLocalAddressLocked(Ipv4 ip) const {
   return std::find(local_addrs_.begin(), local_addrs_.end(), ip) != local_addrs_.end();
 }
 
 void Network::AddRemoteHost(RemoteHost host) {
-  std::lock_guard<std::recursive_mutex> lk(mu_);
+  std::lock_guard<RwLock> lk(mu_);
   hosts_.push_back(std::move(host));
 }
 
 const RemoteHost* Network::FindHost(Ipv4 ip) const {
-  std::lock_guard<std::recursive_mutex> lk(mu_);
+  std::shared_lock<RwLock> lk(mu_);
+  return FindHostLocked(ip);
+}
+
+const RemoteHost* Network::FindHostLocked(Ipv4 ip) const {
   for (const RemoteHost& host : hosts_) {
     if (host.ip == ip) {
       return &host;
@@ -144,7 +162,7 @@ const RemoteHost* Network::FindHost(Ipv4 ip) const {
 }
 
 PppChannel& Network::NewPppUnit() {
-  std::lock_guard<std::recursive_mutex> lk(mu_);
+  std::lock_guard<RwLock> lk(mu_);
   PppChannel chan;
   chan.unit = static_cast<int>(ppp_units_.size());
   ppp_units_.push_back(chan);
@@ -152,7 +170,7 @@ PppChannel& Network::NewPppUnit() {
 }
 
 PppChannel* Network::FindPppUnit(int unit) {
-  std::lock_guard<std::recursive_mutex> lk(mu_);
+  std::shared_lock<RwLock> lk(mu_);
   if (unit < 0 || static_cast<size_t>(unit) >= ppp_units_.size()) {
     return nullptr;
   }
@@ -244,7 +262,7 @@ void Network::DeliverLocal(const Packet& packet, int netns) {
 }
 
 Result<Unit> Network::Send(Socket& sock, Packet packet) {
-  std::lock_guard<std::recursive_mutex> lk(mu_);
+  std::lock_guard<RwLock> lk(mu_);
   packet.sender_uid = sock.owner;
   packet.from_raw_socket = (sock.type == kSockRaw || sock.family == kAfPacket);
   if (!packet.from_raw_socket && sock.bound_port != 0) {
@@ -268,7 +286,7 @@ Result<Unit> Network::Send(Socket& sock, Packet packet) {
     return OkUnit();
   }
 
-  if (IsLocalAddress(packet.dst_ip)) {
+  if (IsLocalAddressLocked(packet.dst_ip)) {
     DeliverLocal(packet, /*netns=*/0);
     return OkUnit();
   }
@@ -277,7 +295,7 @@ Result<Unit> Network::Send(Socket& sock, Packet packet) {
     return Error(Errno::kENETUNREACH, IpToString(packet.dst_ip));
   }
 
-  const RemoteHost* host = FindHost(packet.dst_ip);
+  const RemoteHost* host = FindHostLocked(packet.dst_ip);
   if (host == nullptr) {
     return OkUnit();  // routable but nobody home: packet lost
   }
@@ -293,7 +311,7 @@ Result<Unit> Network::Send(Socket& sock, Packet packet) {
 }
 
 std::optional<Packet> Network::Receive(Socket& sock) {
-  std::lock_guard<std::recursive_mutex> lk(mu_);
+  std::lock_guard<RwLock> lk(mu_);
   if (sock.rx_queue.empty()) {
     return std::nullopt;
   }

@@ -14,10 +14,12 @@
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <shared_mutex>
 #include <string>
 #include <vector>
 
 #include "src/base/result.h"
+#include "src/base/rw_lock.h"
 #include "src/net/netfilter.h"
 #include "src/net/packet.h"
 #include "src/net/routing.h"
@@ -67,13 +69,17 @@ struct PppChannel {
   Ipv4 remote_ip = 0;
 };
 
-// Concurrency: one coarse recursive lock (mu_) covers socket/topology/PPP
-// state. Recursive because Send() holds the lock while netfilter evaluates
-// the OUTPUT chain, and the spoofed-source match calls back into
-// PortOwner() on the same thread. Socket objects are heap-allocated and
-// refcounted (fd tables pin them), so a Socket* stays valid across the
-// lock being dropped; its fields are only touched under mu_. Packet rates
-// in the simulation are far below the point where this lock would matter.
+// Concurrency: one coarse lock (mu_, an RwLock that spins briefly before it
+// sleeps) covers socket/topology/PPP state. Every public entry point takes
+// it exactly once: shared for pure lookups, unique for anything that
+// mutates (a Send delivers into rx queues). Internals that need the state
+// under a held lock are the *Locked helpers; that includes the port-owner
+// callback netfilter's spoofed-source match makes from inside Send, which
+// is why no entry point may re-lock. The lock is on the hot path: the
+// web-serve mix makes a socket/bind/close and two send/recv pairs per unit
+// on every thread. Socket objects are heap-allocated and refcounted (fd
+// tables pin them), so a Socket* stays valid across the lock being
+// dropped; its fields are only touched under mu_.
 class Network {
  public:
   Network();
@@ -126,7 +132,7 @@ class Network {
 
   // Local interface addresses (packets to these are delivered locally).
   void AddLocalAddress(Ipv4 ip) {
-    std::lock_guard<std::recursive_mutex> lk(mu_);
+    std::lock_guard<RwLock> lk(mu_);
     local_addrs_.push_back(ip);
   }
   bool IsLocalAddress(Ipv4 ip) const;
@@ -139,6 +145,8 @@ class Network {
 
   // --- Subsystems ------------------------------------------------------------
 
+  // Evaluating this netfilter directly, outside Send, runs the spoofed-
+  // source match's port-table read without mu_: single-threaded use only.
   Netfilter& netfilter() { return netfilter_; }
   const Netfilter& netfilter() const { return netfilter_; }
   RoutingTable& routes() { return routes_; }
@@ -151,11 +159,16 @@ class Network {
   uint64_t packets_dropped() const { return netfilter_.dropped(); }
 
  private:
-  // Callers hold mu_.
+  // Callers hold mu_ (shared suffices for the const lookups).
+  Socket* FindSocketLocked(int id) const;
+  std::optional<Uid> PortOwnerLocked(int proto, uint16_t port, int netns) const;
+  bool IsLocalAddressLocked(Ipv4 ip) const;
+  const RemoteHost* FindHostLocked(Ipv4 ip) const;
+  // Callers hold mu_ unique.
   void DeliverLocal(const Packet& packet, int netns);
   std::optional<Packet> RemoteRespond(const RemoteHost& host, const Packet& packet);
 
-  mutable std::recursive_mutex mu_;
+  mutable RwLock mu_;
   Netfilter netfilter_;
   RoutingTable routes_;
   std::map<int, std::unique_ptr<Socket>> sockets_;

@@ -55,13 +55,13 @@ Result<Unit> ProtegoLsm::CompileAndPublish(Policy next) {
   }
   next.engine.files.Build(next.delegation);
   next.engine.sudoers.Build(next.delegation, next.user_db);
-  // Publish-then-bump: the mutex release publishes the new snapshot before
+  // Publish-then-bump: the lock release publishes the new snapshot before
   // the (release) generation bump, so a hook that snapshots the generation
   // (acquire) and sees G is guaranteed to load at least generation G's
   // snapshot. The displaced snapshot is retired once the last in-flight
   // reader drops its PolicyRef.
   {
-    std::lock_guard<std::mutex> lk(policy_mu_);
+    std::lock_guard<RwLock> lk(policy_mu_);
     policy_ = std::make_shared<const Policy>(std::move(next));
   }
   // Only reached on success: a failed swap leaves the generation unchanged.

@@ -22,22 +22,23 @@
 //
 // Concurrency (parallel mode): all policy state — the raw tables AND the
 // compiled engine built from them — lives in one immutable Policy snapshot
-// published RCU-style behind a pointer-copy mutex. Hooks take the snapshot
-// reference once at dispatch entry (the critical section is one shared_ptr
-// copy — no table work ever happens under the lock) and thread that single
+// published RCU-style behind a pointer-copy reader-writer lock. Hooks take
+// the snapshot reference once at dispatch entry, under the lock SHARED (the
+// critical section is one shared_ptr copy — no table work ever happens
+// under the lock, and readers do not serialize on each other) and thread that single
 // snapshot through every helper, so a reader never blocks a swap for longer
 // than the pointer copy and never observes a half-swapped policy. (A
 // std::atomic<shared_ptr> would express the same protocol, but libstdc++'s
 // _Sp_atomic unlocks its reader spinlock with a relaxed fetch_sub, which
 // ThreadSanitizer — and a strict reading of the memory model — rejects; a
-// plain mutex costs the same and is provably clean.) Writers build a
+// lock costs the same and is provably clean.) Writers build a
 // complete successor snapshot off to the side and publish it with one
 // pointer swap; the old snapshot is retired when the last in-flight reader
 // drops its reference (shared_ptr refcount = the grace period). This also
 // sidesteps re-entrancy:
 // hooks nest syscalls (EnsureAuthenticated spawns the authentication
-// utility, whose syscalls re-enter the hooks), which a reader-writer lock
-// could self-deadlock on but a snapshot pointer cannot.
+// utility, whose syscalls re-enter the hooks), which a lock held across the
+// whole hook could self-deadlock on but a snapshot pointer cannot.
 
 #ifndef SRC_PROTEGO_PROTEGO_LSM_H_
 #define SRC_PROTEGO_PROTEGO_LSM_H_
@@ -46,9 +47,11 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <shared_mutex>
 #include <string>
 #include <vector>
 
+#include "src/base/rw_lock.h"
 #include "src/config/bindconf.h"
 #include "src/config/fstab.h"
 #include "src/config/passwd_db.h"
@@ -119,8 +122,9 @@ class ProtegoLsm : public SecurityModule {
   // compilation succeeds is the snapshot published and the policy generation
   // bumped. On failure (including an injected kPolicyCompile fault) nothing
   // is published — the live snapshot and the generation stay exactly as
-  // they were. Writers serialize on a mutex so two
-  // concurrent swaps cannot lose each other's tables; readers never block.
+  // they were. Writers serialize on a mutex so two concurrent swaps cannot
+  // lose each other's tables; readers wait only for the one pointer store
+  // that publishes a swap, never for its compilation.
 
   [[nodiscard]] Result<Unit> SetMountPolicy(std::vector<FstabEntry> whitelist);
   [[nodiscard]] Result<Unit> SetBindTable(std::vector<BindConfEntry> table);
@@ -128,12 +132,13 @@ class ProtegoLsm : public SecurityModule {
   [[nodiscard]] Result<Unit> SetUserDb(UserDb db);
   [[nodiscard]] Result<Unit> SetPppOptions(PppOptions options);
 
-  // The current snapshot. The mutex makes the publication in
+  // The current snapshot. The lock makes the publication in
   // CompileAndPublish visible (it is released there before the generation
   // bump), so a reader that observed generation G also observes at least
-  // generation G's engine. The critical section is one shared_ptr copy.
+  // generation G's engine. The critical section is one shared_ptr copy,
+  // under the lock shared: concurrent hooks never wait on each other.
   PolicyRef policy() const {
-    std::lock_guard<std::mutex> lk(policy_mu_);
+    std::shared_lock<RwLock> lk(policy_mu_);
     return policy_;
   }
 
@@ -194,7 +199,7 @@ class ProtegoLsm : public SecurityModule {
 
   Kernel* kernel_;
   // Guards only the pointer itself; snapshots are immutable once published.
-  mutable std::mutex policy_mu_;
+  mutable RwLock policy_mu_;
   PolicyRef policy_;
   std::mutex swap_mu_;  // serializes writers (clone → compile → publish)
   mutable ProtegoStats stats_;

@@ -115,7 +115,6 @@ std::string Vfs::Absolutize(std::string_view cwd, std::string_view path) {
 
 Result<Vnode*> Vfs::ResolveInternal(std::string_view path, bool want_parent,
                                     std::string* leaf_out, bool follow_leaf) const {
-  LayerScope vfs_scope(profiler_, Layer::kVfs);
   if (path.empty() || path[0] != '/') {
     return Error(Errno::kEINVAL, "path must be absolute: " + std::string(path));
   }
@@ -189,28 +188,32 @@ Result<Vnode*> Vfs::ResolveInternal(std::string_view path, bool want_parent,
 }
 
 Result<Vnode*> Vfs::Resolve(std::string_view path) const {
+  LayerScope vfs_scope(profiler_, Layer::kVfs);
   resolves_.fetch_add(1, std::memory_order_relaxed);
-  std::shared_lock<std::shared_mutex> lk(tree_mu_);
+  std::shared_lock<RwLock> lk(tree_mu_);
   std::string unused;
   return ResolveInternal(path, /*want_parent=*/false, &unused);
 }
 
 Result<Vnode*> Vfs::ResolveNoFollow(std::string_view path) const {
+  LayerScope vfs_scope(profiler_, Layer::kVfs);
   resolves_.fetch_add(1, std::memory_order_relaxed);
-  std::shared_lock<std::shared_mutex> lk(tree_mu_);
+  std::shared_lock<RwLock> lk(tree_mu_);
   std::string unused;
   return ResolveInternal(path, /*want_parent=*/false, &unused, /*follow_leaf=*/false);
 }
 
 Result<std::pair<Vnode*, std::string>> Vfs::ResolveParent(std::string_view path) const {
-  std::shared_lock<std::shared_mutex> lk(tree_mu_);
+  LayerScope vfs_scope(profiler_, Layer::kVfs);
+  std::shared_lock<RwLock> lk(tree_mu_);
   std::string leaf;
   ASSIGN_OR_RETURN(Vnode * parent, ResolveInternal(path, /*want_parent=*/true, &leaf));
   return std::make_pair(parent, leaf);
 }
 
 std::string Vfs::PathOf(const Vnode* node) const {
-  std::shared_lock<std::shared_mutex> lk(tree_mu_);
+  LayerScope vfs_scope(profiler_, Layer::kVfs);
+  std::shared_lock<RwLock> lk(tree_mu_);
   return PathOfLocked(node);
 }
 
@@ -281,6 +284,17 @@ Result<Vnode*> Vfs::CreateNodeLocked(std::string_view path, Inode inode,
   return node;
 }
 
+Result<Vnode*> Vfs::CreateNode(std::string_view path, Inode inode) {
+  PendingEvents events;
+  Result<Vnode*> node = [&] {
+    LayerScope vfs_scope(profiler_, Layer::kVfs);
+    std::unique_lock<RwLock> lk(tree_mu_);
+    return CreateNodeLocked(path, std::move(inode), &events);
+  }();
+  DispatchEvents(events);
+  return node;
+}
+
 Result<Vnode*> Vfs::CreateFile(std::string_view path, uint32_t perms, Uid uid, Gid gid,
                                std::string data) {
   Inode inode;
@@ -288,13 +302,7 @@ Result<Vnode*> Vfs::CreateFile(std::string_view path, uint32_t perms, Uid uid, G
   inode.uid = uid;
   inode.gid = gid;
   inode.data = std::move(data);
-  PendingEvents events;
-  Result<Vnode*> node = [&] {
-    std::unique_lock<std::shared_mutex> lk(tree_mu_);
-    return CreateNodeLocked(path, std::move(inode), &events);
-  }();
-  DispatchEvents(events);
-  return node;
+  return CreateNode(path, std::move(inode));
 }
 
 Result<Vnode*> Vfs::CreateDir(std::string_view path, uint32_t perms, Uid uid, Gid gid) {
@@ -302,13 +310,7 @@ Result<Vnode*> Vfs::CreateDir(std::string_view path, uint32_t perms, Uid uid, Gi
   inode.mode = kIfDir | (perms & kPermMask);
   inode.uid = uid;
   inode.gid = gid;
-  PendingEvents events;
-  Result<Vnode*> node = [&] {
-    std::unique_lock<std::shared_mutex> lk(tree_mu_);
-    return CreateNodeLocked(path, std::move(inode), &events);
-  }();
-  DispatchEvents(events);
-  return node;
+  return CreateNode(path, std::move(inode));
 }
 
 Result<Vnode*> Vfs::CreateSymlink(std::string_view path, std::string_view target, Uid uid,
@@ -321,13 +323,7 @@ Result<Vnode*> Vfs::CreateSymlink(std::string_view path, std::string_view target
   inode.uid = uid;
   inode.gid = gid;
   inode.data = std::string(target);
-  PendingEvents events;
-  Result<Vnode*> node = [&] {
-    std::unique_lock<std::shared_mutex> lk(tree_mu_);
-    return CreateNodeLocked(path, std::move(inode), &events);
-  }();
-  DispatchEvents(events);
-  return node;
+  return CreateNode(path, std::move(inode));
 }
 
 Result<Vnode*> Vfs::CreateDevice(std::string_view path, uint32_t perms, Uid uid, Gid gid,
@@ -338,13 +334,7 @@ Result<Vnode*> Vfs::CreateDevice(std::string_view path, uint32_t perms, Uid uid,
   inode.gid = gid;
   inode.rdev_major = major;
   inode.rdev_minor = minor;
-  PendingEvents events;
-  Result<Vnode*> node = [&] {
-    std::unique_lock<std::shared_mutex> lk(tree_mu_);
-    return CreateNodeLocked(path, std::move(inode), &events);
-  }();
-  DispatchEvents(events);
-  return node;
+  return CreateNode(path, std::move(inode));
 }
 
 Result<Vnode*> Vfs::CreateSynthetic(std::string_view path, uint32_t perms, SyntheticOps ops) {
@@ -354,7 +344,8 @@ Result<Vnode*> Vfs::CreateSynthetic(std::string_view path, uint32_t perms, Synth
   inode.synthetic = std::make_shared<SyntheticOps>(std::move(ops));
   PendingEvents events;
   Result<Vnode*> node = [&]() -> Result<Vnode*> {
-    std::unique_lock<std::shared_mutex> lk(tree_mu_);
+    LayerScope vfs_scope(profiler_, Layer::kVfs);
+    std::unique_lock<RwLock> lk(tree_mu_);
     size_t slash = normalized.find_last_of('/');
     if (slash > 0) {
       RETURN_IF_ERROR(EnsureDirsLocked(normalized.substr(0, slash)));
@@ -366,7 +357,8 @@ Result<Vnode*> Vfs::CreateSynthetic(std::string_view path, uint32_t perms, Synth
 }
 
 Result<Vnode*> Vfs::EnsureDirs(std::string_view path) {
-  std::unique_lock<std::shared_mutex> lk(tree_mu_);
+  LayerScope vfs_scope(profiler_, Layer::kVfs);
+  std::unique_lock<RwLock> lk(tree_mu_);
   return EnsureDirsLocked(path);
 }
 
@@ -402,7 +394,8 @@ Result<Vnode*> Vfs::EnsureDirsLocked(std::string_view path) {
 Result<Unit> Vfs::Unlink(std::string_view path) {
   PendingEvents events;
   Result<Unit> result = [&]() -> Result<Unit> {
-    std::unique_lock<std::shared_mutex> lk(tree_mu_);
+    LayerScope vfs_scope(profiler_, Layer::kVfs);
+    std::unique_lock<RwLock> lk(tree_mu_);
     std::string leaf;
     ASSIGN_OR_RETURN(Vnode * parent, ResolveInternal(path, /*want_parent=*/true, &leaf));
     Vnode* child = parent->Lookup(leaf);
@@ -429,7 +422,8 @@ Result<Unit> Vfs::Unlink(std::string_view path) {
 Result<Unit> Vfs::Rename(std::string_view from, std::string_view to) {
   PendingEvents events;
   Result<Unit> result = [&]() -> Result<Unit> {
-    std::unique_lock<std::shared_mutex> lk(tree_mu_);
+    LayerScope vfs_scope(profiler_, Layer::kVfs);
+    std::unique_lock<RwLock> lk(tree_mu_);
     std::string from_leaf;
     ASSIGN_OR_RETURN(Vnode * from_parent,
                      ResolveInternal(from, /*want_parent=*/true, &from_leaf));
@@ -484,7 +478,8 @@ Result<std::string> Vfs::ReadNode(const Vnode* node) const {
     }
     return inode.synthetic->read();
   }
-  std::shared_lock<std::shared_mutex> lk(DataStripe(inode.ino));
+  LayerScope vfs_scope(profiler_, Layer::kVfs);
+  std::shared_lock<RwLock> lk(DataStripe(inode.ino));
   return inode.data;
 }
 
@@ -504,10 +499,12 @@ Result<Unit> Vfs::WriteNode(Vnode* node, std::string_view data, bool append) {
     // The write handler may re-enter the VFS (policy reloads resolve and
     // read config files), so it runs with no lock held.
     RETURN_IF_ERROR(inode.synthetic->write(data));
-    std::unique_lock<std::shared_mutex> lk(DataStripe(inode.ino));
+    LayerScope vfs_scope(profiler_, Layer::kVfs);
+    std::unique_lock<RwLock> lk(DataStripe(inode.ino));
     inode.mtime = NowMtime();
   } else {
-    std::unique_lock<std::shared_mutex> lk(DataStripe(inode.ino));
+    LayerScope vfs_scope(profiler_, Layer::kVfs);
+    std::unique_lock<RwLock> lk(DataStripe(inode.ino));
     // Block accounting: charge growth (fault site + quota check BEFORE the
     // data mutates — a refused write leaves the file byte-identical),
     // release shrinkage. Files populated outside CreateNode are charged in
@@ -547,7 +544,8 @@ Result<Unit> Vfs::WriteNode(Vnode* node, std::string_view data, bool append) {
 }
 
 Result<std::vector<std::string>> Vfs::ListDir(const Vnode* node) const {
-  std::shared_lock<std::shared_mutex> lk(tree_mu_);
+  LayerScope vfs_scope(profiler_, Layer::kVfs);
+  std::shared_lock<RwLock> lk(tree_mu_);
   if (!node->inode().IsDir()) {
     return Error(Errno::kENOTDIR, PathOfLocked(node));
   }
@@ -555,9 +553,10 @@ Result<std::vector<std::string>> Vfs::ListDir(const Vnode* node) const {
 }
 
 NodeStat Vfs::StatNode(const Vnode* node) const {
+  LayerScope vfs_scope(profiler_, Layer::kVfs);
   const Inode& inode = node->inode();
-  std::shared_lock<std::shared_mutex> tree_lk(tree_mu_);
-  std::shared_lock<std::shared_mutex> data_lk(DataStripe(inode.ino));
+  std::shared_lock<RwLock> tree_lk(tree_mu_);
+  std::shared_lock<RwLock> data_lk(DataStripe(inode.ino));
   NodeStat st;
   st.ino = inode.ino;
   st.mode = inode.ModeRelaxed();
@@ -571,12 +570,14 @@ NodeStat Vfs::StatNode(const Vnode* node) const {
 }
 
 void Vfs::SetInodeMode(Vnode* node, uint32_t perms) {
-  std::unique_lock<std::shared_mutex> lk(tree_mu_);
+  LayerScope vfs_scope(profiler_, Layer::kVfs);
+  std::unique_lock<RwLock> lk(tree_mu_);
   node->inode().mode = (node->inode().mode & kIfMask) | (perms & kPermMask);
 }
 
 void Vfs::SetInodeOwner(Vnode* node, Uid uid, Gid gid, bool clear_sbits) {
-  std::unique_lock<std::shared_mutex> lk(tree_mu_);
+  LayerScope vfs_scope(profiler_, Layer::kVfs);
+  std::unique_lock<RwLock> lk(tree_mu_);
   Inode& inode = node->inode();
   inode.uid = uid;
   inode.gid = gid;
@@ -600,7 +601,8 @@ Result<Unit> Vfs::AddMount(std::string_view mountpoint, std::string source, std:
                            const MountPopulator& populate) {
   std::string trace_detail;
   {
-    std::unique_lock<std::shared_mutex> lk(tree_mu_);
+    LayerScope vfs_scope(profiler_, Layer::kVfs);
+    std::unique_lock<RwLock> lk(tree_mu_);
     // Stacked mounts are rejected to keep the simulation's umount unambiguous
     // (Resolve descends through covers, so also check the mount table).
     if (FindMountLocked(mountpoint) != nullptr) {
@@ -652,7 +654,8 @@ Result<Unit> Vfs::RemoveMount(std::string_view mountpoint) {
   std::string normalized = Normalize(mountpoint);
   bool removed = false;
   {
-    std::unique_lock<std::shared_mutex> lk(tree_mu_);
+    LayerScope vfs_scope(profiler_, Layer::kVfs);
+    std::unique_lock<RwLock> lk(tree_mu_);
     for (auto it = mounts_.begin(); it != mounts_.end(); ++it) {
       if ((*it)->mountpoint == normalized) {
         (*it)->covered->covered_by_ = nullptr;
@@ -676,7 +679,8 @@ Result<Unit> Vfs::RemoveMount(std::string_view mountpoint) {
 }
 
 const MountEntry* Vfs::FindMount(std::string_view mountpoint) const {
-  std::shared_lock<std::shared_mutex> lk(tree_mu_);
+  LayerScope vfs_scope(profiler_, Layer::kVfs);
+  std::shared_lock<RwLock> lk(tree_mu_);
   return FindMountLocked(mountpoint);
 }
 
@@ -691,7 +695,7 @@ const MountEntry* Vfs::FindMountLocked(std::string_view mountpoint) const {
 }
 
 size_t Vfs::orphan_count() const {
-  std::shared_lock<std::shared_mutex> lk(tree_mu_);
+  std::shared_lock<RwLock> lk(tree_mu_);
   return orphans_.size();
 }
 
@@ -748,7 +752,7 @@ uint64_t ChargedBytesUnder(const Vnode* node) {
 Result<Unit> Vfs::AuditBlockAccounting() const {
   // Takes the tree lock only: the walk reads file data sizes, so callers
   // (the fault-sweep harness, tests) run it with data writers quiescent.
-  std::shared_lock<std::shared_mutex> lk(tree_mu_);
+  std::shared_lock<RwLock> lk(tree_mu_);
   uint64_t recomputed = ChargedBytesUnder(root_.get());
   for (const auto& mount : mounts_) {
     recomputed += ChargedBytesUnder(mount->root.get());

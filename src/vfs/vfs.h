@@ -5,15 +5,18 @@
 // applies DAC + LSM policy and then calls into these primitives, exactly as
 // the Linux VFS relies on callers having passed inode_permission().
 //
-// Locking (parallel mode):
+// Locking (parallel mode). Every lock here but watch_mu_ is an RwLock
+// (src/base/rw_lock.h), which spins briefly before it sleeps: the critical
+// sections last a few hundred ns, while parking a waiter in the futex (what
+// a glibc rwlock does on the first conflict) costs 10-50 us to wake.
 //   * tree_mu_ (reader-writer): the directory structure — children maps,
 //     parent links, mount covers, the mount table, and the orphan list.
 //     Resolution and PathOf take it shared; create/unlink/rename/mount and
-//     chmod/chown-style metadata updates take it unique. Striped per-path
-//     dentry locks would admit more write parallelism, but structural
-//     writes are rare in every workload we model, so one tree lock with
-//     striped DATA locks (below) captures the win at a fraction of the
-//     deadlock surface.
+//     chmod/chown-style metadata updates take it unique. Structural writes
+//     are NOT rare: the mail mix makes three (create, rename, unlink) in
+//     every eight ops. One tree lock still serves because each writer holds
+//     it for one short in-memory walk; striped per-path dentry locks would
+//     admit more write parallelism at a much larger deadlock surface.
 //   * data_mu_[ino % kDataStripes]: file contents, mtime, and the block
 //     charge flag. Reads take the stripe shared, writes unique — so N
 //     threads stream N different files without touching the tree lock's
@@ -52,6 +55,7 @@
 #include "src/base/clock.h"
 #include "src/base/result.h"
 #include "src/base/attribution.h"
+#include "src/base/rw_lock.h"
 #include "src/base/tracepoint.h"
 #include "src/fault/fault.h"
 #include "src/vfs/inode.h"
@@ -156,8 +160,11 @@ class Vfs {
   // events (stamped with the calling syscall's span).
   void set_tracer(Tracer* tracer) { tracer_ = tracer; }
 
-  // Per-layer latency attribution: path resolution runs under a `vfs`
-  // frame. Detached or disabled, resolution pays a pointer test.
+  // Per-layer latency attribution: every entry point a syscall reaches that
+  // takes the tree lock or a data stripe runs under a `vfs` frame, opened
+  // BEFORE the lock, so lock waits are charged to `vfs`, not to the caller.
+  // Watch callbacks and synthetic-file handlers run outside it (they
+  // re-enter the VFS). Detached or disabled, each entry pays a pointer test.
   void set_profiler(LayerProfiler* profiler) { profiler_ = profiler; }
 
   // Attaches the fault-injection registry: vnode allocation (ENOMEM) and
@@ -299,7 +306,7 @@ class Vfs {
   using PendingEvents = std::vector<std::pair<FsEvent, std::string>>;
 
   static constexpr size_t kDataStripes = 16;
-  std::shared_mutex& DataStripe(uint64_t ino) const {
+  RwLock& DataStripe(uint64_t ino) const {
     return data_mu_[ino % kDataStripes];
   }
 
@@ -311,6 +318,9 @@ class Vfs {
   Result<Vnode*> ResolveInternal(std::string_view path, bool want_parent,
                                  std::string* leaf_out, bool follow_leaf = true) const;
   std::string PathOfLocked(const Vnode* node) const;
+  // Links `inode` in at `path` under the tree lock, then dispatches its
+  // kCreated event: the shared body of CreateFile/Dir/Symlink/Device.
+  Result<Vnode*> CreateNode(std::string_view path, Inode inode);
   Result<Vnode*> CreateNodeLocked(std::string_view path, Inode inode, PendingEvents* events);
   Result<Vnode*> EnsureDirsLocked(std::string_view path);
   const MountEntry* FindMountLocked(std::string_view mountpoint) const;
@@ -336,8 +346,8 @@ class Vfs {
   uint64_t block_quota_ = 0;  // 0 = unlimited; set at boot, read-only after
   std::atomic<uint64_t> bytes_used_{0};     // charged regular-file data bytes
   mutable std::atomic<uint64_t> resolves_{0};  // accounting from const Resolve()
-  mutable std::shared_mutex tree_mu_;          // directory structure + metadata
-  mutable std::shared_mutex data_mu_[kDataStripes];  // file contents by ino
+  mutable RwLock tree_mu_;                     // directory structure + metadata
+  mutable RwLock data_mu_[kDataStripes];       // file contents by ino
   mutable std::mutex watch_mu_;                // watch list
   std::unique_ptr<Vnode> root_;
   // Vnodes unlinked or displaced by rename stay alive here until the Vfs is

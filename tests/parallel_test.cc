@@ -403,6 +403,198 @@ TEST(ParallelAudit, AppArmorDenialsLandInTheAuditRingUnderRealThreads) {
   EXPECT_EQ(apparmor_lines, std::min<uint64_t>(denials, k.audit_ring().capacity()));
 }
 
+// --- VFS and network locks under real threads ------------------------------
+
+// The VFS tree lock's writers (create, rename, unlink) and readers (stat,
+// resolution) interleave from every thread: each task churns a file through
+// its own directory while stating files every task shares. Every result must
+// be exactly what a serial run gives, and the block accounting must balance.
+TEST(ParallelVfs, PrivateChurnBesideSharedStatsUnderRealThreads) {
+  constexpr int kThreads = 4;
+  constexpr int kRounds = 300;
+  std::unique_ptr<Kernel> kernel = BootBareKernel();
+  Kernel& k = *kernel;
+  std::vector<std::string> shared;
+  for (int i = 0; i < kThreads; ++i) {
+    shared.push_back("/tmp/shared" + std::to_string(i));
+    ASSERT_TRUE(k.vfs()
+                    .CreateFile(shared.back(), 0644, kRootUid, kRootGid,
+                                std::string(static_cast<size_t>(10 * (i + 1)), 's'))
+                    .ok());
+  }
+  std::vector<Task*> tasks;
+  for (int t = 0; t < kThreads; ++t) {
+    tasks.push_back(&k.CreateTask("vfs" + std::to_string(t), Cred::ForUser(1000 + t, 1000 + t),
+                                  nullptr));
+  }
+  std::vector<std::string> first_error(kThreads);
+  ThreadScheduler sched;
+  k.set_scheduler(&sched);
+  for (int t = 0; t < kThreads; ++t) {
+    Task* task = tasks[static_cast<size_t>(t)];
+    std::string* error = &first_error[static_cast<size_t>(t)];
+    sched.StartTask(task->pid, [&k, &shared, task, t, error] {
+      auto fail = [error](const std::string& what) {
+        if (error->empty()) {
+          *error = what;
+        }
+      };
+      const std::string dir = "/tmp/d" + std::to_string(t);
+      if (!k.Mkdir(*task, dir, 0755).ok()) {
+        fail("mkdir " + dir);
+        return;
+      }
+      const std::string tmp = dir + "/new";
+      const std::string done = dir + "/done";
+      for (int r = 0; r < kRounds; ++r) {
+        const std::string body = StrFormat("t=%d r=%d", t, r);
+        auto fd = k.Open(*task, tmp, kOWrOnly | kOCreat, 0600);
+        if (!fd.ok() || !k.Write(*task, fd.value(), body).ok() ||
+            !k.Close(*task, fd.value()).ok()) {
+          fail(StrFormat("create/write/close round %d", r));
+          continue;
+        }
+        if (!k.Rename(*task, tmp, done).ok()) {
+          fail(StrFormat("rename round %d", r));
+        }
+        auto st = k.Stat(*task, done);
+        if (!st.ok() || st.value().size != body.size()) {
+          fail(StrFormat("stat of renamed file round %d", r));
+        }
+        for (size_t i = 0; i < shared.size(); ++i) {
+          auto sh = k.Stat(*task, shared[i]);
+          if (!sh.ok() || sh.value().size != 10 * (i + 1)) {
+            fail(StrFormat("stat %s round %d", shared[i].c_str(), r));
+          }
+        }
+        if (!k.Unlink(*task, done).ok()) {
+          fail(StrFormat("unlink round %d", r));
+        }
+      }
+    });
+  }
+  sched.Join();
+  k.set_scheduler(nullptr);
+
+  for (int t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(first_error[static_cast<size_t>(t)], "") << "task " << t;
+    auto names = k.vfs().ListDir(k.vfs().Resolve("/tmp/d" + std::to_string(t)).value());
+    ASSERT_TRUE(names.ok());
+    EXPECT_TRUE(names.value().empty()) << "task " << t << " left files behind";
+  }
+  // One orphan per round: each unlinked file may still have been open.
+  EXPECT_EQ(k.vfs().orphan_count(), size_t{kThreads} * kRounds);
+  auto audit = k.vfs().AuditBlockAccounting();
+  EXPECT_TRUE(audit.ok()) << audit.error().ToString();
+}
+
+// Network::mu_ is not recursive, so every public entry point takes it once
+// and netfilter's spoofed-source match (which runs inside Send) reads the
+// port table through the already-held lock. Each task churns a socket, runs
+// an honest request/reply over its private ports, and sends one packet that
+// claims another task's bound port as its source: the OUTPUT rule must drop
+// exactly those, and nothing may self-deadlock.
+TEST(ParallelNet, SocketChurnAndSpoofedSendsUnderRealThreads) {
+  constexpr int kThreads = 4;
+  constexpr int kRounds = 300;
+  std::unique_ptr<Kernel> kernel = BootBareKernel();
+  Kernel& k = *kernel;
+  NfRule spoof_rule;
+  spoof_rule.chain = NfChain::kOutput;
+  spoof_rule.match.src_port_owned_by_other = true;
+  spoof_rule.verdict = NfVerdict::kDrop;
+  spoof_rule.comment = "anti-spoof";
+  k.net().netfilter().Append(spoof_rule);
+
+  auto srv_port = [](int t) { return static_cast<uint16_t>(20000 + t); };
+  auto cli_port = [](int t) { return static_cast<uint16_t>(21000 + t); };
+  auto churn_port = [](int t) { return static_cast<uint16_t>(22000 + t); };
+  struct Endpoints {
+    Task* task;
+    int srv_fd;
+    int cli_fd;
+    int spoof_fd;  // unbound: its packets keep the source port they claim
+  };
+  std::vector<Endpoints> eps;
+  for (int t = 0; t < kThreads; ++t) {
+    Task& task = k.CreateTask("net" + std::to_string(t), Cred::ForUser(1000 + t, 1000 + t),
+                              nullptr);
+    Endpoints ep{&task, -1, -1, -1};
+    ep.srv_fd = k.SocketCall(task, kAfInet, kSockDgram, 0).value();
+    ep.cli_fd = k.SocketCall(task, kAfInet, kSockDgram, 0).value();
+    ep.spoof_fd = k.SocketCall(task, kAfInet, kSockDgram, 0).value();
+    ASSERT_TRUE(k.BindCall(task, ep.srv_fd, srv_port(t)).ok());
+    ASSERT_TRUE(k.BindCall(task, ep.cli_fd, cli_port(t)).ok());
+    eps.push_back(ep);
+  }
+  const uint64_t dropped_before = k.net().netfilter().dropped();
+
+  std::vector<std::string> first_error(kThreads);
+  ThreadScheduler sched;
+  k.set_scheduler(&sched);
+  for (int t = 0; t < kThreads; ++t) {
+    const Endpoints ep = eps[static_cast<size_t>(t)];
+    std::string* error = &first_error[static_cast<size_t>(t)];
+    sched.StartTask(ep.task->pid, [&, ep, t, error] {
+      auto fail = [error](const std::string& what) {
+        if (error->empty()) {
+          *error = what;
+        }
+      };
+      Task& task = *ep.task;
+      auto packet = [](uint16_t dst_port, std::string payload) {
+        Packet p;
+        p.l4_proto = kProtoUdp;
+        p.dst_ip = kLocalhostIp;
+        p.dst_port = dst_port;
+        p.payload = std::move(payload);
+        return p;
+      };
+      for (int r = 0; r < kRounds; ++r) {
+        auto churn = k.SocketCall(task, kAfInet, kSockDgram, 0);
+        if (!churn.ok() || !k.BindCall(task, churn.value(), churn_port(t)).ok() ||
+            !k.Close(task, churn.value()).ok()) {
+          fail(StrFormat("socket/bind/close round %d", r));
+        }
+        const std::string request = StrFormat("req t=%d r=%d", t, r);
+        const std::string reply = StrFormat("rep t=%d r=%d", t, r);
+        if (!k.SendCall(task, ep.cli_fd, packet(srv_port(t), request)).ok()) {
+          fail(StrFormat("send request round %d", r));
+        }
+        auto got = k.RecvCall(task, ep.srv_fd);
+        if (!got.ok() || !got.value().has_value() || got.value()->payload != request) {
+          fail(StrFormat("recv request round %d", r));
+        }
+        if (!k.SendCall(task, ep.srv_fd, packet(cli_port(t), reply)).ok()) {
+          fail(StrFormat("send reply round %d", r));
+        }
+        got = k.RecvCall(task, ep.cli_fd);
+        if (!got.ok() || !got.value().has_value() || got.value()->payload != reply) {
+          fail(StrFormat("recv reply round %d", r));
+        }
+        // Claims the next task's client port: a silent drop, so the send
+        // succeeds and this task's server receives nothing.
+        Packet forged = packet(srv_port(t), "forged");
+        forged.src_port = cli_port((t + 1) % kThreads);
+        if (!k.SendCall(task, ep.spoof_fd, std::move(forged)).ok()) {
+          fail(StrFormat("spoofed send round %d", r));
+        }
+        got = k.RecvCall(task, ep.srv_fd);
+        if (!got.ok() || got.value().has_value()) {
+          fail(StrFormat("spoofed packet delivered round %d", r));
+        }
+      }
+    });
+  }
+  sched.Join();
+  k.set_scheduler(nullptr);
+
+  for (int t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(first_error[static_cast<size_t>(t)], "") << "task " << t;
+  }
+  EXPECT_EQ(k.net().netfilter().dropped() - dropped_before, uint64_t{kThreads} * kRounds);
+}
+
 // --- Decision spans under real threads --------------------------------------
 
 // Each thread keeps its own open-span stack, so concurrent tasks must never
