@@ -115,7 +115,11 @@ int main(int argc, char** argv) {
   using namespace protego;
   const char* out_path = argc > 1 ? argv[1] : "BENCH_observability.json";
   constexpr int kIters = 200000;
-  constexpr int kReps = 9;
+  // The gate reads the median of per-rep pairs, and a pair only cancels a
+  // host-speed swing that covers both of its passes. With 9 reps one swing
+  // could move the median past the budget; with 31 it takes several. Longer
+  // passes instead (50 ms) let more swings land inside one pair, not fewer.
+  constexpr int kReps = 31;
 
   SimSystem sys(SimMode::kProtego);
   Task& task = sys.Login("alice");
@@ -145,12 +149,14 @@ int main(int argc, char** argv) {
     // burst of host load then hits both sides of a pair alike and cancels;
     // the median discards the reps where it did not. Measured sequentially,
     // or as best-of-N per config, one lucky baseline pass reads as a 5%
-    // "overhead" on every other config.
+    // "overhead" on every other config. Odd reps run the configs in reverse
+    // order, so a drift within a rep favours no config over the baseline.
     std::vector<double> times[kNumConfigs];
     std::vector<double> paired[kNumConfigs];
     for (int r = 0; r < kReps; ++r) {
       double t[kNumConfigs];
-      for (size_t c = 0; c < kNumConfigs; ++c) {
+      for (size_t i = 0; i < kNumConfigs; ++i) {
+        const size_t c = r % 2 == 0 ? i : kNumConfigs - 1 - i;
         Apply(k, kConfigs[c]);
         k.tracer().Clear();  // ring churn priced, retention equalized
         // Per-pass warmup: settles the dispatch-word rebuild the config

@@ -11,17 +11,10 @@
 // (kSpinPauses), then sleeps in C++20 atomic::wait (futex-backed). Unlock
 // notifies only when it can unblock somebody: when the last reader leaves,
 // and when a writer releases; with nobody asleep a notify is one load.
-//
-// While the process has one thread, lock, lock_shared and unlock_shared use
-// plain loads and stores: nothing can contend, and glibc's own mutexes and
-// libstdc++'s shared_ptr take the same shortcut (__libc_single_threaded).
-// Only the thread that could start a second thread reads the flag as true,
-// and thread creation orders the word's value before the new thread's
-// first access. Measured per acquire/release pair on one thread (4-vCPU x86
-// VM, g++ 12 -O2): std::mutex 7-8 ns, std::shared_mutex shared 22-26 ns,
-// this lock 1-3 ns; without the shortcut 21-23 ns shared and 10-11 ns
-// unique, which made the single-threaded benchmark pay more for its policy
-// and socket-table locks than std::mutex had cost.
+// (The simpler shape, a bounded try_lock spin in front of std::shared_mutex,
+// was measured too: on perfbench apps-parallel, 4-vCPU x86 VM, it gained
+// +75% ops/s against this lock's +83% and raised the median op latency 11%
+// against 8%, because its waiters still park in glibc's futex.)
 //
 // Reader-preferring, like glibc's default rwlock: a reader is admitted
 // whenever no writer HOLDS the lock, even if one is waiting. A thread that
@@ -35,8 +28,6 @@
 #ifndef SRC_BASE_RW_LOCK_H_
 #define SRC_BASE_RW_LOCK_H_
 
-#include <sys/single_threaded.h>
-
 #include <atomic>
 #include <cstdint>
 
@@ -49,10 +40,6 @@ class RwLock {
   RwLock& operator=(const RwLock&) = delete;
 
   void lock() {
-    if (__libc_single_threaded && state_.load(std::memory_order_relaxed) == 0) {
-      state_.store(kWriter, std::memory_order_relaxed);
-      return;
-    }
     uint32_t seen = 0;
     while (!state_.compare_exchange_weak(seen, kWriter, std::memory_order_acquire,
                                          std::memory_order_relaxed)) {
@@ -76,10 +63,6 @@ class RwLock {
 
   void lock_shared() {
     uint32_t seen = state_.load(std::memory_order_relaxed);
-    if (__libc_single_threaded && (seen & kWriter) == 0) {
-      state_.store(seen + 1, std::memory_order_relaxed);
-      return;
-    }
     for (;;) {
       if ((seen & kWriter) != 0) {
         seen = AwaitChange(seen);
@@ -102,10 +85,6 @@ class RwLock {
   }
 
   void unlock_shared() {
-    if (__libc_single_threaded) {
-      state_.store(state_.load(std::memory_order_relaxed) - 1, std::memory_order_relaxed);
-      return;
-    }
     // Only the last reader out can unblock anyone (a waiting writer).
     if (state_.fetch_sub(1, std::memory_order_release) == 1) {
       state_.notify_all();

@@ -5,8 +5,8 @@
 namespace protego {
 
 Network::Network() {
-  // Netfilter evaluates only inside Send and DeliverLocal, which hold mu_,
-  // so the spoofed-source match reads the port table without locking.
+  // Netfilter evaluates only inside Send, DeliverLocal and Evaluate, which
+  // hold mu_, so the spoofed-source match reads the port table unlocked.
   netfilter_.set_port_owner_fn(
       [this](int proto, uint16_t port) { return PortOwnerLocked(proto, port, 0); });
   // Loopback is always routable.
@@ -308,6 +308,11 @@ Result<Unit> Network::Send(Socket& sock, Packet packet) {
     }
   }
   return OkUnit();
+}
+
+NfVerdict Network::Evaluate(NfChain chain, const Packet& packet) const {
+  std::shared_lock<RwLock> lk(mu_);
+  return netfilter_.Evaluate(chain, packet);
 }
 
 std::optional<Packet> Network::Receive(Socket& sock) {

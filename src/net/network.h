@@ -125,6 +125,10 @@ class Network {
   // Pops the next received packet, if any.
   std::optional<Packet> Receive(Socket& sock);
 
+  // Runs `packet` through `chain` of this network's netfilter, under mu_:
+  // the spoofed-source match reads the port table.
+  NfVerdict Evaluate(NfChain chain, const Packet& packet) const;
+
   // --- Topology --------------------------------------------------------------
 
   void AddRemoteHost(RemoteHost host);
@@ -145,8 +149,9 @@ class Network {
 
   // --- Subsystems ------------------------------------------------------------
 
-  // Evaluating this netfilter directly, outside Send, runs the spoofed-
-  // source match's port-table read without mu_: single-threaded use only.
+  // Rule edits, hooks and counters. Evaluate packets through
+  // Network::Evaluate, not here: netfilter's port-owner callback reads the
+  // port table without taking mu_.
   Netfilter& netfilter() { return netfilter_; }
   const Netfilter& netfilter() const { return netfilter_; }
   RoutingTable& routes() { return routes_; }

@@ -71,14 +71,14 @@ TEST(NetfilterTest, SpoofedSourcePortMatch) {
   // Attacker (uid 1001) claims the victim's port: dropped.
   Packet forged = UdpPacket(kLocalhostIp, 9, /*src_port=*/4000);
   forged.sender_uid = 1001;
-  EXPECT_EQ(net.netfilter().Evaluate(NfChain::kOutput, forged), NfVerdict::kDrop);
+  EXPECT_EQ(net.Evaluate(NfChain::kOutput, forged), NfVerdict::kDrop);
   // The owner herself is fine.
   forged.sender_uid = 1000;
-  EXPECT_EQ(net.netfilter().Evaluate(NfChain::kOutput, forged), NfVerdict::kAccept);
+  EXPECT_EQ(net.Evaluate(NfChain::kOutput, forged), NfVerdict::kAccept);
   // Unbound ports are fine.
   Packet honest = UdpPacket(kLocalhostIp, 9, /*src_port=*/5000);
   honest.sender_uid = 1001;
-  EXPECT_EQ(net.netfilter().Evaluate(NfChain::kOutput, honest), NfVerdict::kAccept);
+  EXPECT_EQ(net.Evaluate(NfChain::kOutput, honest), NfVerdict::kAccept);
 }
 
 TEST(DefaultRawRules, EncodeTheSafePacketSet) {
